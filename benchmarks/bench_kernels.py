@@ -184,7 +184,7 @@ _CASE_SHAPE = {
 
 
 def validate_report(report):
-    """Check the JSON output shape (used by scripts/check.sh --smoke runs)."""
+    """Check the JSON shape and per-case identity claims (check.sh smokes)."""
     assert report["benchmark"] == "kernels" and report["unit"] == "seconds"
     assert isinstance(report["cases"], list) and report["cases"]
     for case in report["cases"]:
@@ -203,6 +203,8 @@ def validate_report(report):
                     f"{case['case']}: key {key!r} should be "
                     f"{expected.__name__}, got {type(value).__name__}"
                 )
+        assert case["identical"], f"{case['case']}: kernel model differs"
+        assert case["batch_used"], f"{case['case']}: kernels were not used"
     json.dumps(report)  # must be serialisable as-is
 
 

@@ -49,7 +49,7 @@ def legacy_query_rows(interpretation, pattern):
     evaluator = ClauseEvaluator(dummy_clause)
     rows = []
     seen = set()
-    for substitution in evaluator._body_solutions(interpretation, None, -1):
+    for substitution in evaluator._body_solutions(interpretation):
         values = substitution.evaluate_atom(atom)
         if values is None:
             continue

@@ -77,7 +77,6 @@ def _ingest_and_crash(data_dir, edge_rows, tail_batches):
         session.add_facts([("overlap", edge) for edge in batch])
     stats = session.storage.stats()
     session.storage.abandon()  # crash: drop handles, flush nothing further
-    session._core.close()
     return stats
 
 
@@ -190,7 +189,7 @@ _CASE_SHAPE = {
 
 
 def validate_report(report):
-    """Check the JSON output shape (used by scripts/check.sh --smoke runs)."""
+    """Check the JSON shape and per-case identity claims (check.sh smokes)."""
     assert report["benchmark"] == "recovery" and report["unit"] == "seconds"
     assert isinstance(report["cases"], list) and report["cases"]
     for case in report["cases"]:
@@ -209,6 +208,9 @@ def validate_report(report):
                     f"{case['case']}: key {key!r} should be "
                     f"{expected.__name__}, got {type(value).__name__}"
                 )
+        assert case["identical"], f"{case['case']}: recovered model differs"
+        assert case["used_snapshot"], f"{case['case']}: recovery skipped the snapshot"
+        assert case["dropped_batches"] == 0, f"{case['case']}: committed batches lost"
     json.dumps(report)  # must be serialisable as-is
 
 

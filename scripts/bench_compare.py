@@ -211,19 +211,6 @@ POLICIES = {
             "probe_ms": {"max": 30_000.0},
         },
     },
-    "parallel": {
-        "command": ["benchmarks/bench_parallel.py", "--smoke"],
-        # ``workers`` and the timing fields vary with the host; the
-        # deterministic fields below must not.
-        "exact_case_keys": [
-            "case", "kind", "facts", "identical", "waves", "clients", "queries",
-        ],
-        "bounded_case_keys": {
-            "speedup_parallel_vs_compiled": {"min": 0.05},
-            "speedup_vs_single_client": {"min": 0.2},
-            "throughput_qps": {"min": 1.0},
-        },
-    },
 }
 
 

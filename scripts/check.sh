@@ -12,21 +12,18 @@
 #      no program may raise an error-severity diagnostic beyond the
 #      allowlisted paper examples;
 #   4. tier-1 pytest;
-#   5. bench_demand --smoke  + shape validation (validate_report);
-#   6. bench_parallel --smoke + shape validation (validate_report);
-#   7. bench_api --smoke + shape validation (validate_report);
-#   8. bench_kernels --smoke + shape validation (validate_report);
-#   9. bench_recovery --smoke + shape validation (validate_report);
-#  10. bench_replication --smoke + shape validation (validate_report);
-#  11. bench_live --smoke + shape validation (validate_report);
-#  12. end-to-end TCP smoke: bind a live server on a free port, drive it
+#   5. benchmark smokes: every benchmark registered in
+#      scripts/bench_compare.py's POLICIES runs its --smoke command, and
+#      its bench_<name>.validate_report checks the JSON shape and the
+#      per-case identity claims;
+#   6. end-to-end TCP smoke: bind a live server on a free port, drive it
 #      with a real DatalogClient and a raw socket, validate the versioned
 #      JSON envelopes (schema v1, typed results, structured errors);
-#  13. end-to-end replication smoke: a leader and a follower as two real
+#   7. end-to-end replication smoke: a leader and a follower as two real
 #      processes wired through the --json listening envelopes, a write on
 #      the leader read back from the follower, and the not_leader
 #      redirect validated over the wire;
-#  14. end-to-end live-watch smoke: an asyncio server watched by the
+#   8. end-to-end live-watch smoke: an asyncio server watched by the
 #      typed client and by a raw socket, one published generation, the
 #      watching/subscription_delta envelopes validated on the wire.
 #
@@ -63,119 +60,18 @@ python scripts/lint_corpus.py
 echo "== tier-1 tests =="
 python -m pytest -x -q "$@"
 
-echo "== benchmark smoke (bench_demand --smoke) =="
-python benchmarks/bench_demand.py --smoke > /tmp/bench_demand_smoke.json
+echo "== benchmark smokes (scripts/bench_compare.py POLICIES) =="
 python - <<'EOF'
-import json
+import importlib
 import sys
 
-sys.path.insert(0, "benchmarks")
-from bench_demand import validate_report
+sys.path[:0] = ["scripts", "benchmarks"]
+from bench_compare import POLICIES, run_benchmark
 
-with open("/tmp/bench_demand_smoke.json", "r", encoding="utf-8") as handle:
-    report = json.load(handle)
-validate_report(report)
-print(f"ok: {len(report['cases'])} cases, shape valid")
-EOF
-
-echo "== benchmark smoke (bench_parallel --smoke) =="
-python benchmarks/bench_parallel.py --smoke > /tmp/bench_parallel_smoke.json
-python - <<'EOF'
-import json
-import sys
-
-sys.path.insert(0, "benchmarks")
-from bench_parallel import validate_report
-
-with open("/tmp/bench_parallel_smoke.json", "r", encoding="utf-8") as handle:
-    report = json.load(handle)
-validate_report(report)
-for case in report["cases"]:
-    if case["kind"] == "fixpoint":
-        assert case["identical"], f"{case['case']}: parallel model differs"
-print(f"ok: {len(report['cases'])} cases, shape valid, models identical")
-EOF
-
-echo "== benchmark smoke (bench_api --smoke) =="
-python benchmarks/bench_api.py --smoke > /tmp/bench_api_smoke.json
-python - <<'EOF'
-import json
-import sys
-
-sys.path.insert(0, "benchmarks")
-from bench_api import validate_report
-
-with open("/tmp/bench_api_smoke.json", "r", encoding="utf-8") as handle:
-    report = json.load(handle)
-validate_report(report)
-print(f"ok: {len(report['cases'])} cases, shape valid, paged memory bounded")
-EOF
-
-echo "== benchmark smoke (bench_kernels --smoke) =="
-python benchmarks/bench_kernels.py --smoke > /tmp/bench_kernels_smoke.json
-python - <<'EOF'
-import json
-import sys
-
-sys.path.insert(0, "benchmarks")
-from bench_kernels import validate_report
-
-with open("/tmp/bench_kernels_smoke.json", "r", encoding="utf-8") as handle:
-    report = json.load(handle)
-validate_report(report)
-for case in report["cases"]:
-    assert case["identical"], f"{case['case']}: kernel model differs"
-    assert case["batch_used"], f"{case['case']}: kernels were not used"
-print(f"ok: {len(report['cases'])} cases, shape valid, models identical")
-EOF
-
-echo "== benchmark smoke (bench_recovery --smoke) =="
-python benchmarks/bench_recovery.py --smoke > /tmp/bench_recovery_smoke.json
-python - <<'EOF'
-import json
-import sys
-
-sys.path.insert(0, "benchmarks")
-from bench_recovery import validate_report
-
-with open("/tmp/bench_recovery_smoke.json", "r", encoding="utf-8") as handle:
-    report = json.load(handle)
-validate_report(report)
-for case in report["cases"]:
-    assert case["identical"], f"{case['case']}: recovered model differs"
-    assert case["used_snapshot"], f"{case['case']}: recovery skipped the snapshot"
-    assert case["dropped_batches"] == 0, f"{case['case']}: committed batches lost"
-print(f"ok: {len(report['cases'])} cases, shape valid, recovered models identical")
-EOF
-
-echo "== benchmark smoke (bench_replication --smoke) =="
-python benchmarks/bench_replication.py --smoke > /tmp/bench_replication_smoke.json
-python - <<'EOF'
-import json
-import sys
-
-sys.path.insert(0, "benchmarks")
-from bench_replication import validate_report
-
-with open("/tmp/bench_replication_smoke.json", "r", encoding="utf-8") as handle:
-    report = json.load(handle)
-validate_report(report)
-print(f"ok: {len(report['cases'])} cases, shape valid, followers identical")
-EOF
-
-echo "== benchmark smoke (bench_live --smoke) =="
-python benchmarks/bench_live.py --smoke > /tmp/bench_live_smoke.json
-python - <<'EOF'
-import json
-import sys
-
-sys.path.insert(0, "benchmarks")
-from bench_live import validate_report
-
-with open("/tmp/bench_live_smoke.json", "r", encoding="utf-8") as handle:
-    report = json.load(handle)
-validate_report(report)
-print(f"ok: {len(report['cases'])} cases, shape valid, idle connections held")
+for name, policy in sorted(POLICIES.items()):
+    report = run_benchmark(policy["command"])
+    importlib.import_module(f"bench_{name}").validate_report(report)
+    print(f"ok: bench_{name}: {len(report['cases'])} cases, report valid")
 EOF
 
 echo "== end-to-end TCP smoke (serve_tcp + DatalogClient) =="

@@ -40,7 +40,6 @@ from repro.database.database import SequenceDatabase
 from repro.engine.demand import DemandQuery, compile_demand, demand_query
 from repro.engine.fixpoint import FixpointResult, compute_least_fixpoint
 from repro.engine.limits import EvaluationLimits
-from repro.engine.parallel import ParallelFixpoint
 from repro.engine.query import PreparedQuery, evaluate_query
 from repro.engine.server import DatalogServer, ModelSnapshot
 from repro.engine.session import DatalogSession
@@ -99,7 +98,6 @@ __all__ = [
     "EvaluationLimits",
     "FixpointResult",
     "ModelSnapshot",
-    "ParallelFixpoint",
     "PreparedQuery",
     "ReplicationError",
     "ReplicationHub",

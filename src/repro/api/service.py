@@ -463,11 +463,7 @@ class DatalogService:
         if self._live is not None and "live" not in raw:
             raw = dict(raw)
             raw["live"] = self._live.stats()
-        return ServerStats.from_raw(
-            raw,
-            generation=self._generation(),
-            workers=getattr(self._backend, "workers", None),
-        )
+        return ServerStats.from_raw(raw, generation=self._generation())
 
     # ------------------------------------------------------------------
     # Replication streaming (driven by the transport, not handle())

@@ -411,7 +411,7 @@ def serve_tcp(
 
     Builds the thread-safe backend when given program text / a parsed
     program (``database`` and ``server_options`` — ``limits``,
-    ``transducers``, ``workers``, ``result_cache_size`` — are forwarded),
+    ``transducers``, ``result_cache_size``, ``data_dir`` — are forwarded),
     binds ``host:port`` (port 0 = pick a free one) and, with ``start=True``,
     serves in a daemon thread.  Closing the returned transport closes a
     backend it built, never one it was handed.

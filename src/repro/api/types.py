@@ -1263,7 +1263,7 @@ class ServerStats:
 
     The typed fields are stable across versions; ``extra`` carries the
     engine's evolving diagnostics (cache counters, intern-table growth,
-    parallel-pool stats, the server sub-report) verbatim.
+    the server sub-report) verbatim.
     """
 
     kind: ClassVar[str] = "stats"
@@ -1275,6 +1275,7 @@ class ServerStats:
     maintenance_runs: int
     poisoned: bool
     generation: Optional[int] = None
+    #: Reserved: frozen in the v1 schema, always ``null`` from this server.
     workers: Optional[int] = None
     #: Durable-storage counters (``DurableStore.stats()``) when the backend
     #: runs on a data directory; ``None`` for in-memory servers.
@@ -1295,7 +1296,6 @@ class ServerStats:
         cls,
         stats: Mapping[str, Any],
         generation: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> ServerStats:
         """Wrap a raw ``DatalogSession.stats()``/``DatalogServer.stats()`` dict."""
         extra = {
@@ -1312,7 +1312,6 @@ class ServerStats:
             maintenance_runs=int(stats.get("maintenance_runs", 0)),
             poisoned=bool(stats.get("poisoned", False)),
             generation=generation,
-            workers=workers,
             durability=durability if isinstance(durability, Mapping) else None,
             replication=replication if isinstance(replication, Mapping) else None,
             live=live if isinstance(live, Mapping) else None,

@@ -19,9 +19,7 @@ The subcommands cover the typical workflow::
   relation names to lists of strings (unary relations) or lists of string
   lists (n-ary relations), then prints the answers to the query pattern.
   ``--strategy`` selects the evaluation core (``compiled`` by default;
-  ``naive`` and ``semi-naive`` are the interpreted references;
-  ``parallel`` fires independent strata concurrently over a worker pool
-  sized by ``--workers``).
+  ``naive`` is the interpreted reference the tests hold it to).
   ``--demand`` answers the query demand-driven: instead of materialising
   the full least fixpoint, only the slice of the model the query pattern
   transitively depends on is computed, with the pattern's constants pushed
@@ -35,11 +33,7 @@ The subcommands cover the typical workflow::
   which leaves the resident model a partial fixpoint: the session is then
   poisoned and every later ``query`` is refused with a clear error.
   ``--demand`` serves queries from lazy, per-query demand slices without
-  ever materialising the full model.  ``--workers N`` serves through the
-  thread-safe :class:`~repro.engine.server.DatalogServer` instead:
-  queries answer from pinned, snapshot-isolated model views with a
-  per-snapshot result cache, and maintenance runs on a parallel fixpoint
-  pool of ``N`` workers.
+  ever materialising the full model.
 
   Every command is executed through the versioned typed API
   (:mod:`repro.api`).  ``--json`` switches the reply stream to one
@@ -126,7 +120,6 @@ from repro.core.engine_api import SequenceDatalogEngine
 from repro.database.database import SequenceDatabase
 from repro.engine.fixpoint import DEFAULT_STRATEGY, STRATEGIES
 from repro.engine.limits import EvaluationLimits
-from repro.engine.server import DatalogServer
 from repro.engine.session import DatalogSession
 from repro.errors import ProtocolError, ReproError
 from repro.language.parser import parse_program
@@ -169,10 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bottom-up evaluation strategy",
     )
     run_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-pool size for --strategy parallel (default: CPU count)",
-    )
-    run_parser.add_argument(
         "--demand", action="store_true",
         help="demand-driven evaluation: materialize only the slice of the "
              "model the query pattern can observe (magic-set-style relevance "
@@ -201,12 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--demand", action="store_true",
         help="serve queries from lazy, cached per-query demand slices; the "
              "full model is never materialized up front",
-    )
-    serve_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="serve through the thread-safe DatalogServer (snapshot-"
-             "isolated reads, cached/batched queries) with a parallel-"
-             "maintenance pool of this size; incompatible with --demand",
     )
     serve_parser.add_argument(
         "--json", action="store_true",
@@ -441,7 +424,7 @@ def _run_once(args: argparse.Namespace, out) -> int:
             file=out,
         )
         return 0
-    result = engine.evaluate(database, strategy=args.strategy, workers=args.workers)
+    result = engine.evaluate(database, strategy=args.strategy)
     answers = engine.query(result, args.query)
     if args.json:
         _emit_json(out, _page_of(answers))
@@ -704,9 +687,6 @@ def _graceful_shutdown():
 
 def _command_serve(args: argparse.Namespace, out) -> int:
     limits = EvaluationLimits(max_iterations=args.max_iterations)
-    if args.workers is not None and args.demand:
-        print("error: --workers serves full snapshots; drop --demand", file=out)
-        return 1
     if args.follow is not None:
         if args.tcp is None:
             print("error: --follow replicates over TCP; add --tcp HOST:PORT", file=out)
@@ -727,17 +707,7 @@ def _command_serve(args: argparse.Namespace, out) -> int:
             print("error: --tcp serves shared snapshots; drop --demand", file=out)
             return 1
         return _serve_over_tcp(args, database, limits, out)
-    if args.workers is not None:
-        backend = DatalogServer(
-            _load_program(args.program),
-            database,
-            limits=limits,
-            workers=args.workers,
-            data_dir=args.data_dir,
-        )
-        mode = f" (server mode: {args.workers} workers, snapshot-isolated)"
-        fact_count = backend.snapshot.fact_count()
-    elif args.data_dir is not None:
+    if args.data_dir is not None:
         from repro.storage import open_session
 
         backend = open_session(
@@ -748,15 +718,13 @@ def _command_serve(args: argparse.Namespace, out) -> int:
             lazy=args.demand,
         )
         mode = " (durable: write-ahead logged)"
-        fact_count = backend.fact_count()
     else:
         backend = DatalogSession(
             _load_program(args.program), database, limits=limits, lazy=args.demand
         )
         mode = " (demand mode: lazy per-query slices)" if args.demand else ""
-        fact_count = backend.fact_count()
     if not args.json:
-        print(f"% serving {fact_count} facts{mode}", file=out)
+        print(f"% serving {backend.fact_count()} facts{mode}", file=out)
     commands = _ServiceCommands(DatalogService(backend, demand=args.demand))
     try:
         with _graceful_shutdown():
@@ -783,7 +751,6 @@ def _serve_over_tcp(args: argparse.Namespace, database, limits, out) -> int:
             _load_program(args.program),
             args.follow,
             limits=limits,
-            workers=args.workers,
         )
         try:
             transport = serve_transport(
@@ -799,7 +766,6 @@ def _serve_over_tcp(args: argparse.Namespace, database, limits, out) -> int:
             host=host,
             port=port,
             limits=limits,
-            workers=args.workers,
             start=args.script is not None,
             data_dir=args.data_dir,
         )

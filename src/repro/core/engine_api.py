@@ -107,20 +107,14 @@ class SequenceDatalogEngine:
         database: DatabaseLike,
         strategy: str = DEFAULT_STRATEGY,
         limits: Optional[EvaluationLimits] = None,
-        workers: Optional[int] = None,
     ) -> FixpointResult:
-        """Compute the least fixpoint of the program over a database.
-
-        ``workers`` sizes the pool of the ``parallel`` strategy (see
-        :mod:`repro.engine.parallel`); the other strategies ignore it.
-        """
+        """Compute the least fixpoint of the program over a database."""
         return compute_least_fixpoint(
             self.program,
             _as_database(database),
             limits=limits or self.limits,
             strategy=strategy,
             transducers=self.transducers,
-            workers=workers,
         )
 
     def query(
@@ -241,7 +235,6 @@ class SequenceDatalogEngine:
         self,
         database: Optional[DatabaseLike] = None,
         limits: Optional[EvaluationLimits] = None,
-        workers: Optional[int] = None,
         result_cache_size: int = 1024,
         data_dir: Optional[str] = None,
     ) -> DatalogServer:
@@ -250,18 +243,16 @@ class SequenceDatalogEngine:
         The server wraps an incremental session: concurrent ``query`` calls
         pin immutable model snapshots (and are cached, coalesced and
         batchable), while ``add_facts`` maintenance runs serialized and only
-        publishes fully-consistent snapshots.  ``workers`` additionally runs
-        maintenance on a parallel fixpoint pool
-        (:mod:`repro.engine.server` has the full contract).  With
-        ``data_dir`` the backing session is durable (see :meth:`session`)
-        and the server's generation counter survives restarts.
+        publishes fully-consistent snapshots (:mod:`repro.engine.server`
+        has the full contract).  With ``data_dir`` the backing session is
+        durable (see :meth:`session`) and the server's generation counter
+        survives restarts.
         """
         return DatalogServer(
             self.program,
             database=None if database is None else _as_database(database),
             limits=limits or self.limits,
             transducers=self.transducers,
-            workers=workers,
             result_cache_size=result_cache_size,
             data_dir=data_dir,
         )
@@ -272,7 +263,6 @@ class SequenceDatalogEngine:
         port: int = 0,
         database: Optional[DatabaseLike] = None,
         limits: Optional[EvaluationLimits] = None,
-        workers: Optional[int] = None,
         result_cache_size: int = 1024,
         start: bool = True,
         data_dir: Optional[str] = None,
@@ -299,7 +289,6 @@ class SequenceDatalogEngine:
             start=start,
             limits=limits if limits is not None else self.limits,
             transducers=self.transducers,
-            workers=workers,
             result_cache_size=result_cache_size,
             data_dir=data_dir,
         )

@@ -11,9 +11,9 @@ The engine implements:
 * :mod:`~repro.engine.plan` / :mod:`~repro.engine.planner` -- compiled
   clause plans: static join ordering, per-scan index column selection and
   the plan executor;
-* :mod:`~repro.engine.fixpoint` -- naive, semi-naive and compiled
-  (dependency-scheduled) bottom-up computation of the least fixpoint
-  ``T_{P,db} ^ omega`` with resource limits;
+* :mod:`~repro.engine.fixpoint` -- naive (the reference) and compiled
+  (dependency-scheduled, the default) bottom-up computation of the least
+  fixpoint ``T_{P,db} ^ omega`` with resource limits;
 * :mod:`~repro.engine.query` -- pattern queries over interpretations,
   compiled once into index-aware plans (:class:`~repro.engine.query.PreparedQuery`);
 * :mod:`~repro.engine.demand` -- demand-driven (magic-set-style) query
@@ -21,8 +21,6 @@ The engine implements:
   pushed sideways into clause plans;
 * :mod:`~repro.engine.session` -- :class:`~repro.engine.session.DatalogSession`,
   the incremental query-serving layer over a resident fixpoint;
-* :mod:`~repro.engine.parallel` -- :class:`~repro.engine.parallel.ParallelFixpoint`,
-  wave-scheduled, range-partitioned fixpoint evaluation over a worker pool;
 * :mod:`~repro.engine.server` -- :class:`~repro.engine.server.DatalogServer`,
   the thread-safe snapshot-isolated multi-client serving layer.
 """
@@ -55,11 +53,8 @@ from repro.engine.fixpoint import (
     DEFAULT_STRATEGY,
     FixpointResult,
     NAIVE,
-    PARALLEL,
-    SEMI_NAIVE,
     compute_least_fixpoint,
 )
-from repro.engine.parallel import ParallelFixpoint
 from repro.engine.query import PreparedQuery, QueryResult, evaluate_query
 from repro.engine.server import DatalogServer, ModelSnapshot
 from repro.engine.session import DatalogSession, MaintenanceReport
@@ -95,13 +90,10 @@ __all__ = [
     "MaintenanceReport",
     "ModelSnapshot",
     "NAIVE",
-    "PARALLEL",
-    "ParallelFixpoint",
     "PlanExecutor",
     "PreparedQuery",
     "ProgramPlan",
     "QueryResult",
-    "SEMI_NAIVE",
     "StorageError",
     "Substitution",
     "TOperator",

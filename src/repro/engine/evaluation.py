@@ -253,87 +253,57 @@ class ClauseEvaluator:
         self.transducers = transducers
         self._head_sequence_vars = clause.head.sequence_variables()
         self._head_index_vars = clause.head.index_variables()
-        self._all_sequence_vars = clause.sequence_variables()
-        self._all_index_vars = clause.index_variables()
-        self._body_atoms = clause.body_atoms()
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def derive(
-        self,
-        interpretation: Interpretation,
-        delta: Optional[Interpretation] = None,
-    ) -> Iterator[Fact]:
+    def derive(self, interpretation: Interpretation) -> Iterator[Fact]:
         """Yield every ground head fact derivable from the interpretation.
 
-        When ``delta`` is given, only derivations in which at least one body
-        atom is matched against a ``delta`` fact are produced (the semi-naive
-        restriction).  Duplicate facts may be yielded; the caller
-        deduplicates by inserting into an interpretation.
+        Duplicate facts may be yielded; the caller deduplicates by inserting
+        into an interpretation.
         """
         domain = interpretation.domain
-        if delta is None or not self._body_atoms:
-            for substitution in self._body_solutions(interpretation, None, -1):
-                yield from self._emit_heads(substitution, domain)
-            return
-        # Semi-naive: require the i-th atom to match a delta fact, for each i.
-        # The same derivation can be produced for several i; deduplication
-        # happens on insertion.
-        for position in range(len(self._body_atoms)):
-            for substitution in self._body_solutions(interpretation, delta, position):
-                yield from self._emit_heads(substitution, domain)
+        for substitution in self._body_solutions(interpretation):
+            yield from self._emit_heads(substitution, domain)
 
     # ------------------------------------------------------------------
     # Body search
     # ------------------------------------------------------------------
-    def _body_solutions(
-        self,
-        interpretation: Interpretation,
-        delta: Optional[Interpretation],
-        delta_position: int,
-    ) -> Iterator[Substitution]:
-        literals: List[Tuple[BodyLiteral, bool]] = []
-        atom_index = 0
-        for literal in self.clause.body:
-            if isinstance(literal, TrueLiteral):
-                continue
-            use_delta = False
-            if isinstance(literal, Atom):
-                use_delta = atom_index == delta_position
-                atom_index += 1
-            literals.append((literal, use_delta))
-        yield from self._solve(literals, Substitution(), interpretation, delta)
+    def _body_solutions(self, interpretation: Interpretation) -> Iterator[Substitution]:
+        literals = [
+            literal for literal in self.clause.body
+            if not isinstance(literal, TrueLiteral)
+        ]
+        yield from self._solve(literals, Substitution(), interpretation)
 
     def _solve(
         self,
-        literals: List[Tuple[BodyLiteral, bool]],
+        literals: List[BodyLiteral],
         substitution: Substitution,
         interpretation: Interpretation,
-        delta: Optional[Interpretation],
     ) -> Iterator[Substitution]:
         if not literals:
             yield substitution
             return
 
         index = self._choose_literal(literals, substitution)
-        literal, use_delta = literals[index]
+        literal = literals[index]
         rest = literals[:index] + literals[index + 1:]
 
         if isinstance(literal, Comparison):
             yield from self._solve_comparison(
-                literal, rest, substitution, interpretation, delta
+                literal, rest, substitution, interpretation
             )
             return
 
         assert isinstance(literal, Atom)
-        source = delta if use_delta and delta is not None else interpretation
-        for extended in self._match_atom(literal, source, substitution, interpretation.domain):
-            yield from self._solve(rest, extended, interpretation, delta)
+        for extended in self._match_atom(literal, interpretation, substitution):
+            yield from self._solve(rest, extended, interpretation)
 
     def _choose_literal(
         self,
-        literals: List[Tuple[BodyLiteral, bool]],
+        literals: List[BodyLiteral],
         substitution: Substitution,
     ) -> int:
         """Pick the next literal to process.
@@ -345,7 +315,7 @@ class ClauseEvaluator:
         best_atom = -1
         best_atom_score = -1
         binder = -1
-        for position, (literal, _) in enumerate(literals):
+        for position, literal in enumerate(literals):
             if _literal_is_evaluable(literal, substitution):
                 return position
             if isinstance(literal, Comparison) and binder < 0:
@@ -393,15 +363,14 @@ class ClauseEvaluator:
     def _solve_comparison(
         self,
         comparison: Comparison,
-        rest: List[Tuple[BodyLiteral, bool]],
+        rest: List[BodyLiteral],
         substitution: Substitution,
         interpretation: Interpretation,
-        delta: Optional[Interpretation],
     ) -> Iterator[Substitution]:
         domain = interpretation.domain
         if _literal_is_evaluable(comparison, substitution):
             if substitution.evaluate_comparison(comparison):
-                yield from self._solve(rest, substitution, interpretation, delta)
+                yield from self._solve(rest, substitution, interpretation)
             return
 
         binding = self._binding_side(comparison, substitution)
@@ -410,7 +379,7 @@ class ClauseEvaluator:
             value = substitution.evaluate_sequence(other)
             if value is not None and value in domain:
                 extended = substitution.bind_sequence(name, value)
-                yield from self._solve(rest, extended, interpretation, delta)
+                yield from self._solve(rest, extended, interpretation)
             return
 
         # General case: enumerate one unbound variable of the comparison over
@@ -420,7 +389,7 @@ class ClauseEvaluator:
                 for value in domain.sequences():
                     extended = substitution.bind_sequence(name, value)
                     yield from self._solve_comparison(
-                        comparison, rest, extended, interpretation, delta
+                        comparison, rest, extended, interpretation
                     )
                 return
         for name in sorted(comparison.index_variables()):
@@ -428,7 +397,7 @@ class ClauseEvaluator:
                 for value in domain.integers():
                     extended = substitution.bind_index(name, value)
                     yield from self._solve_comparison(
-                        comparison, rest, extended, interpretation, delta
+                        comparison, rest, extended, interpretation
                     )
                 return
 
@@ -438,11 +407,10 @@ class ClauseEvaluator:
     def _match_atom(
         self,
         atom: Atom,
-        source: Interpretation,
+        interpretation: Interpretation,
         substitution: Substitution,
-        domain: ExtendedDomain,
     ) -> Iterator[Substitution]:
-        relation = source.relation(atom.predicate)
+        relation = interpretation.relation(atom.predicate)
         if relation is None or relation.arity != atom.arity:
             return
 
@@ -455,6 +423,7 @@ class ClauseEvaluator:
                     return  # undefined term: no extension can satisfy the atom
                 column_bindings[column] = value
 
+        domain = interpretation.domain
         for row in relation.lookup(column_bindings):
             yield from match_args(atom.args, row, 0, substitution, domain)
 

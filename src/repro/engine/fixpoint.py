@@ -1,19 +1,11 @@
 """Bottom-up computation of the least fixpoint ``T_{P,db} ^ omega``.
 
-Four strategies are provided:
+Two strategies are provided:
 
 * **naive** -- every clause is re-evaluated against the full interpretation
   at every iteration.  This is the reference implementation of the
-  declarative semantics (Section 3.3).
-* **semi-naive** -- clauses that are *delta-safe* only consider derivations
-  in which at least one body atom matches a fact derived in the previous
-  iteration.  A clause is delta-safe when it has at least one body atom, all
-  of its sequence variables are guarded and all of its index variables occur
-  in body atoms; for such clauses new derivations can only arise from new
-  facts, never from mere growth of the extended active domain, so the delta
-  restriction is complete.  All other clauses (e.g. ``rep1(X, X) :- true`` or
-  clauses with head-only index variables such as Example 1.1) are evaluated
-  in full at every iteration.
+  declarative semantics (Section 3.3) and the oracle the tests hold the
+  compiled strategy to.
 * **compiled** -- the default.  Each clause is compiled once into a static
   join plan (:mod:`repro.engine.planner`) and the predicate dependency
   graph (:mod:`repro.analysis.dependency_graph`) orders the plans by
@@ -26,14 +18,14 @@ Four strategies are provided:
   stratum to a local fixpoint) costs only O(1) gating checks per
   up-to-date plan, handles domain growth flowing from higher strata back
   down, and keeps the partial interpretation of a limit-aborted
-  evaluation representative of every predicate.
-* **parallel** -- the compiled strategy with each sweep's independent
-  strata fired concurrently and large firings range-partitioned across a
-  worker pool (:mod:`repro.engine.parallel`).  Scheduling only changes the
-  *order* in which monotone firings happen, so the computed model is
-  fact-for-fact identical to the compiled strategy's.
+  evaluation representative of every predicate.  Delta restriction is
+  complete only for *delta-safe* clauses (at least one body atom, every
+  sequence variable guarded, every index variable in a body atom): their
+  new derivations can only arise from new facts, never from mere growth
+  of the extended active domain.  Other clauses (e.g. ``rep1(X, X) :-
+  true`` or Example 1.1's head-only index variable) re-fire in full.
 
-All strategies produce exactly the least fixpoint; tests compare them on
+Both strategies produce exactly the least fixpoint; tests compare them on
 every paper program.
 """
 
@@ -49,19 +41,17 @@ from repro.engine.evaluation import ClauseEvaluator
 from repro.engine.interpretation import Interpretation
 from repro.engine.limits import DEFAULT_LIMITS, EvaluationLimits
 from repro.engine.plan import ProgramPlan
-from repro.engine.planner import PlanExecutor, clause_is_delta_safe, compile_program
+from repro.engine.planner import PlanExecutor, compile_program
 from repro.errors import EvaluationError
 from repro.language.clauses import Program
 
 NAIVE = "naive"
-SEMI_NAIVE = "semi-naive"
 COMPILED = "compiled"
-PARALLEL = "parallel"
 
 #: The strategy used when callers do not ask for a specific one.
 DEFAULT_STRATEGY = COMPILED
 
-STRATEGIES = (NAIVE, SEMI_NAIVE, COMPILED, PARALLEL)
+STRATEGIES = (NAIVE, COMPILED)
 
 
 @dataclass
@@ -73,12 +63,12 @@ class FixpointResult:
     interpretation:
         The least fixpoint ``lfp(T_{P,db})``.
     iterations:
-        Number of rule-firing rounds performed.  For the naive and
-        semi-naive strategies this is the number of applications of the
-        ``T`` operator; for the compiled strategy it is the number of
-        global sweeps, which plays the same role for the resource limits.
+        Number of rule-firing rounds performed.  For the naive strategy
+        this is the number of applications of the ``T`` operator; for the
+        compiled strategy it is the number of global sweeps, which plays
+        the same role for the resource limits.
     strategy:
-        ``"naive"``, ``"semi-naive"`` or ``"compiled"``.
+        ``"naive"`` or ``"compiled"``.
     new_facts_per_iteration:
         Number of new facts added at each round (the last entry is 0).
     elapsed_seconds:
@@ -111,15 +101,12 @@ def compute_least_fixpoint(
     limits: EvaluationLimits = DEFAULT_LIMITS,
     strategy: str = DEFAULT_STRATEGY,
     transducers: Optional[TransducerRegistry] = None,
-    workers: Optional[int] = None,
     use_kernels: Optional[bool] = None,
 ) -> FixpointResult:
     """Compute ``lfp(T_{P,db})`` bottom-up.
 
-    ``workers`` selects the pool size of the ``parallel`` strategy (defaults
-    to the machine's CPU count) and is ignored by the other strategies.
-    ``use_kernels`` overrides the batch-kernel default for the compiled and
-    parallel strategies (the interpreted strategies have no kernel path).
+    ``use_kernels`` overrides the batch-kernel default for the compiled
+    strategy (the naive strategy has no kernel path).
 
     Raises :class:`~repro.errors.FixpointNotReached` when a resource limit is
     exceeded before convergence (the exception carries the partial
@@ -129,17 +116,13 @@ def compute_least_fixpoint(
         raise EvaluationError(f"unknown evaluation strategy {strategy!r}")
 
     start = time.perf_counter()
-    if strategy == PARALLEL:
-        interpretation, iterations, history = _compute_parallel(
-            program, database, limits, transducers, workers, use_kernels
-        )
-    elif strategy == COMPILED:
+    if strategy == COMPILED:
         interpretation, iterations, history = _compute_compiled(
             program, database, limits, transducers, use_kernels
         )
     else:
-        interpretation, iterations, history = _compute_interpreted(
-            program, database, limits, strategy, transducers
+        interpretation, iterations, history = _compute_naive(
+            program, database, limits, transducers
         )
 
     elapsed = time.perf_counter() - start
@@ -165,28 +148,18 @@ def _load_database(
 
 
 # ----------------------------------------------------------------------
-# Interpreted strategies (naive reference and clause-level semi-naive)
+# Naive strategy (the reference semantics)
 # ----------------------------------------------------------------------
-def _compute_interpreted(
+def _compute_naive(
     program: Program,
     database: SequenceDatabase,
     limits: EvaluationLimits,
-    strategy: str,
     transducers: Optional[TransducerRegistry],
 ) -> Tuple[Interpretation, int, List[int]]:
     evaluators = [ClauseEvaluator(clause, transducers) for clause in program]
-    delta_safe = [clause_is_delta_safe(clause) for clause in program]
-
     interpretation = Interpretation()
-    delta = Interpretation()
-    new_facts_history: List[int] = []
-
     # Round 1: load the database (bodyless clauses are always derivable).
-    for atom in database.facts():
-        values = tuple(arg.value for arg in atom.args)  # type: ignore[attr-defined]
-        if interpretation.add(atom.predicate, values):
-            delta.add(atom.predicate, values)
-    new_facts_history.append(delta.fact_count())
+    new_facts_history = [_load_database(database, interpretation)]
 
     # The database load above is round 1, so the first sweep is round 2 and
     # ``max_iterations = N`` permits exactly N rounds in total — matching
@@ -198,31 +171,25 @@ def _compute_interpreted(
         limits.check_iteration(iteration, partial=interpretation)
         limits.check_interpretation(interpretation, iteration)
 
-        new_delta = Interpretation()
-        for evaluator, is_safe in zip(evaluators, delta_safe):
-            if strategy == SEMI_NAIVE and is_safe:
-                derived = evaluator.derive(interpretation, delta)
-            else:
-                derived = evaluator.derive(interpretation, None)
+        added = 0
+        for evaluator in evaluators:
             # Materialise before inserting: derivations must be based on the
             # interpretation at the start of the iteration, and inserting
             # while the generator is live would mutate the fact store the
             # matcher is iterating over.
-            for fact in list(derived):
+            for fact in list(evaluator.derive(interpretation)):
                 _, values = fact
                 for value in values:
                     limits.check_sequence_length(
                         len(value), interpretation, iteration
                     )
                 if interpretation.add_fact(fact):
-                    new_delta.add_fact(fact)
+                    added += 1
                 limits.check_interpretation(interpretation, iteration)
 
-        added = new_delta.fact_count()
         new_facts_history.append(added)
         if added == 0:
             break
-        delta = new_delta
 
     return interpretation, iteration, new_facts_history
 
@@ -314,7 +281,7 @@ class CompiledFixpoint:
 
         ``None`` means the plan is up to date: no body relation gained rows
         since its last firing and (for domain-sensitive plans) the domain did
-        not grow.  The parallel executor shares this gating logic.
+        not grow.
         """
         interpretation = self.interpretation
         plan = self.plans[plan_index]
@@ -388,16 +355,11 @@ class CompiledFixpoint:
         # live would mutate the fact store the matcher is iterating over.
         return self._merge(list(derived), limits, iteration)
 
-    def close(self) -> None:
-        """Release auxiliary resources (worker pools in subclasses)."""
-
     def _sweep(self, limits: EvaluationLimits, iteration: int) -> int:
         """Visit every plan once (bottom-up); return the new-fact count.
 
-        The parallel executor overrides this with wave-concurrent firing;
-        the surrounding :meth:`run` loop (limit accounting, history,
-        convergence test) stays shared so its semantics cannot drift
-        between strategies.
+        A method of its own so that per-layer tracing can time each sweep
+        (``perfbench/trace.py`` wraps it as ``fixpoint.sweep``).
         """
         sweep_added = 0
         for plan_indexes in self.program_plan.schedule:
@@ -418,8 +380,8 @@ class CompiledFixpoint:
         sweeps is bounded by the naive iteration count; interleaving all
         strata in one sweep (instead of iterating each stratum to a local
         fixpoint) keeps the partial interpretation of an aborted evaluation
-        representative of every predicate, matching the reference strategies
-        on the paper's infinite-fixpoint programs.
+        representative of every predicate, matching the naive reference on
+        the paper's infinite-fixpoint programs.
 
         The iteration limit applies per call, so a session performing many
         small maintenance runs is not eventually starved by its own history.
@@ -455,49 +417,3 @@ def _compute_compiled(
     new_facts_history = [engine.load_database(database)]
     new_facts_history.extend(engine.run(limits))
     return engine.interpretation, engine.sweeps + 1, new_facts_history
-
-
-def _compute_parallel(
-    program: Program,
-    database: SequenceDatabase,
-    limits: EvaluationLimits,
-    transducers: Optional[TransducerRegistry],
-    workers: Optional[int],
-    use_kernels: Optional[bool] = None,
-) -> Tuple[Interpretation, int, List[int]]:
-    # Imported lazily: parallel.py imports CompiledFixpoint from this module.
-    from repro.engine.parallel import ParallelFixpoint
-
-    engine = ParallelFixpoint(
-        program, transducers, workers=workers, use_kernels=use_kernels
-    )
-    try:
-        new_facts_history = [engine.load_database(database)]
-        new_facts_history.extend(engine.run(limits))
-    finally:
-        engine.close()
-    return engine.interpretation, engine.sweeps + 1, new_facts_history
-
-
-def compute_both_strategies(
-    program: Program,
-    database: SequenceDatabase,
-    limits: EvaluationLimits = DEFAULT_LIMITS,
-    transducers: Optional[TransducerRegistry] = None,
-) -> Tuple[FixpointResult, FixpointResult]:
-    """Evaluate with naive and semi-naive (used by equivalence tests)."""
-    naive = compute_least_fixpoint(program, database, limits, NAIVE, transducers)
-    semi = compute_least_fixpoint(program, database, limits, SEMI_NAIVE, transducers)
-    return naive, semi
-
-
-def compute_all_strategies(
-    program: Program,
-    database: SequenceDatabase,
-    limits: EvaluationLimits = DEFAULT_LIMITS,
-    transducers: Optional[TransducerRegistry] = None,
-) -> Tuple[FixpointResult, FixpointResult, FixpointResult]:
-    """Evaluate with all three strategies (used by equivalence tests)."""
-    naive, semi = compute_both_strategies(program, database, limits, transducers)
-    compiled = compute_least_fixpoint(program, database, limits, COMPILED, transducers)
-    return naive, semi, compiled

@@ -128,7 +128,7 @@ def kernel_stats() -> Dict[str, object]:
     ``fallbacks`` breaks the tuple firings down by classification reason;
     the ``*_rows`` counters are rows produced by the scan/probe kernels
     and rows examined by the filter/head kernels.  Counters are per
-    process (parallel *process* workers keep their own).
+    process.
     """
     with _STATS_LOCK:
         stats: Dict[str, object] = dict(_COUNTERS)

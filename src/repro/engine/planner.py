@@ -558,12 +558,8 @@ class PlanExecutor:
         """Fire once with the atom at ``atom_position`` restricted to ``view``.
 
         Every other occurrence of the same predicate joins against the full
-        store.  This is the unit the parallel executor range-partitions: a
-        window ``[a, b)`` of a relation (or of a delta) can be split into
-        disjoint sub-windows and fired independently — the union of the
-        derivations over the sub-windows equals the derivation over the whole
-        window, because every solution goes through exactly one row at the
-        restricted position.
+        store, so every solution goes through exactly one row of ``view``
+        at the restricted position.
         """
         if self._batch is not None:
             return self._batch.derive_delta(interpretation, atom_position, view)
@@ -696,10 +692,12 @@ class PlanExecutor:
         index_names = [
             name for name in step.index_vars if not substitution.binds_index(name)
         ]
-        sequences = list(domain.sequences())
-        integers = list(domain.integers())
+        # ``product`` copies the domain's sequence set once, when it is
+        # built; an index-only enumeration must not pay that O(|domain|).
+        integers = domain.integers()
         for sequence_assignment in (
-            product(sequences, repeat=len(sequence_names)) if sequence_names else [()]
+            product(domain.sequences(), repeat=len(sequence_names))
+            if sequence_names else [()]
         ):
             candidate = substitution
             for name, value in zip(sequence_names, sequence_assignment):

@@ -27,10 +27,11 @@
   deduplicates a whole batch before executing the distinct patterns once
   each.  Under concurrent clients with overlapping workloads this is where
   aggregate throughput scaling comes from (measured by
-  ``benchmarks/bench_parallel.py``).
+  ``benchmarks/bench_api.py``).
 
-The CLI exposes the server through ``python -m repro.cli serve --workers N``;
-the programmatic surface is :meth:`repro.SequenceDatalogEngine.serve`.
+The CLI exposes the server over TCP through ``python -m repro.cli serve
+--tcp HOST:PORT``; the programmatic surface is
+:meth:`repro.SequenceDatalogEngine.serve`.
 """
 
 from __future__ import annotations
@@ -138,15 +139,12 @@ class DatalogServer:
         an existing :class:`DatalogSession` to wrap (it is materialised up
         front either way: the server always publishes full fixpoints).
         When wrapping a session, it is used exactly as configured — passing
-        ``database``/``limits``/``transducers``/``workers`` alongside one
-        is rejected instead of silently ignored.
+        ``database``/``limits``/``transducers`` alongside one is rejected
+        instead of silently ignored.
     database:
         Initial database (only when the server builds the session).
     limits, transducers:
         Forwarded to the session when one is built here.
-    workers:
-        Maintenance worker-pool size, forwarded to the session (parallel
-        fixpoint maintenance); also recorded in :meth:`stats`.
     result_cache_size:
         Capacity of the per-snapshot query-result LRU.
     data_dir:
@@ -170,7 +168,6 @@ class DatalogServer:
         database: Optional[Union[SequenceDatabase, Mapping[str, Iterable]]] = None,
         limits: Optional[EvaluationLimits] = None,
         transducers: Optional[TransducerRegistry] = None,
-        workers: Optional[int] = None,
         result_cache_size: int = 1024,
         data_dir: Optional[str] = None,
         storage_options: Optional[Dict[str, object]] = None,
@@ -180,8 +177,7 @@ class DatalogServer:
                 name
                 for name, value in (
                     ("database", database), ("limits", limits),
-                    ("transducers", transducers), ("workers", workers),
-                    ("data_dir", data_dir),
+                    ("transducers", transducers), ("data_dir", data_dir),
                     ("storage_options", storage_options),
                 )
                 if value is not None
@@ -193,8 +189,6 @@ class DatalogServer:
                     "pass them only when the server builds the session"
                 )
             self._session = program
-            # Report the wrapped session's actual maintenance pool, if any.
-            workers = getattr(self._session._core, "workers", None)
         elif data_dir is not None:
             # Imported lazily: repro.storage imports this module's sibling.
             from repro.storage import open_session
@@ -205,7 +199,6 @@ class DatalogServer:
                 database=database,
                 limits=limits if limits is not None else DEFAULT_LIMITS,
                 transducers=transducers,
-                workers=workers,
                 storage_options=storage_options,
             )
         else:
@@ -214,9 +207,7 @@ class DatalogServer:
                 database=database,
                 limits=limits if limits is not None else DEFAULT_LIMITS,
                 transducers=transducers,
-                workers=workers,
             )
-        self.workers = workers
         self._write_lock = threading.Lock()
         self._cache_lock = threading.Lock()
         # Publication signal: every snapshot publish notifies this
@@ -633,7 +624,6 @@ class DatalogServer:
                 },
                 "coalesced_queries": self._coalesced,
                 "batch_deduped": self._batch_deduped,
-                "workers": self.workers,
             }
         return stats
 

@@ -200,16 +200,6 @@ class DatalogSession:
         demand-mode queries materialise (and cache) only their slices, and
         the full model is materialised on first need — a non-demand query,
         ``output()`` or direct ``interpretation`` access after an update.
-    workers:
-        When given (and greater than 1), maintenance runs on a
-        :class:`~repro.engine.parallel.ParallelFixpoint` with a pool of
-        that many workers instead of the sequential compiled engine; the
-        resident model is fact-for-fact identical either way.  Call
-        :meth:`close` (or use the session as a context manager) to shut
-        the pool down.
-    parallel_mode:
-        Pool flavour for ``workers``: ``"auto"``, ``"thread"`` or
-        ``"process"`` (see :class:`~repro.engine.parallel.ParallelFixpoint`).
     use_kernels:
         Overrides the process-wide batch-kernel default for this session's
         executors (None = follow :func:`repro.engine.kernels.batch_enabled`).
@@ -237,29 +227,15 @@ class DatalogSession:
         prepared_cache_size: int = 128,
         demand_cache_size: int = 32,
         lazy: bool = False,
-        workers: Optional[int] = None,
-        parallel_mode: str = "auto",
         use_kernels: Optional[bool] = None,
     ):
         self.program = parse_program(program) if isinstance(program, str) else program
         self.program.validate()
         self.limits = limits
         self._transducers = transducers
-        if workers is not None and workers > 1:
-            # Imported lazily: parallel.py imports the fixpoint module.
-            from repro.engine.parallel import ParallelFixpoint
-
-            self._core: CompiledFixpoint = ParallelFixpoint(
-                self.program,
-                transducers,
-                workers=workers,
-                mode=parallel_mode,
-                use_kernels=use_kernels,
-            )
-        else:
-            self._core = CompiledFixpoint(
-                self.program, transducers, use_kernels=use_kernels
-            )
+        self._core = CompiledFixpoint(
+            self.program, transducers, use_kernels=use_kernels
+        )
         self._program_predicates = frozenset(self.program.predicates())
         self._prepared: OrderedDict[str, PreparedQuery] = OrderedDict()
         self._prepared_cache_size = max(1, prepared_cache_size)
@@ -311,9 +287,9 @@ class DatalogSession:
         """Run the core to its fixpoint, poisoning the session on failure.
 
         *Any* failure poisons: a resource limit (the classic case), but
-        also an executor failure such as a dead parallel worker — either
-        way the run stopped before convergence, so the resident model may
-        be a partial fixpoint and must not keep serving.
+        also an error raised inside a firing — either way the run stopped
+        before convergence, so the resident model may be a partial
+        fixpoint and must not keep serving.
         """
         try:
             self._core.run(self.limits)
@@ -664,22 +640,15 @@ class DatalogSession:
             "intern_table": Sequence.intern_stats(),
             "kernels": kernel_stats(),
         }
-        parallel_stats = getattr(self._core, "parallel_stats", None)
-        if parallel_stats is not None:
-            stats["parallel"] = parallel_stats()
         if self._storage is not None:
             stats["durability"] = self._storage.stats()
         return stats
 
     def close(self) -> None:
-        """Release resources: flush durable storage (writing a final
-        snapshot when one is attached and dirty), then shut down the
-        evaluation core (parallel worker pools)."""
-        try:
-            if self._storage is not None:
-                self._storage.close()
-        finally:
-            self._core.close()
+        """Flush durable storage, writing a final snapshot when one is
+        attached and dirty."""
+        if self._storage is not None:
+            self._storage.close()
 
     def __enter__(self) -> DatalogSession:
         return self

@@ -59,23 +59,17 @@ class TOperator:
                 result.add_fact(fact)
         return result
 
-    def apply_accumulating(
-        self,
-        interpretation: Interpretation,
-        delta: Optional[Interpretation] = None,
-    ) -> Interpretation:
+    def apply_accumulating(self, interpretation: Interpretation) -> Interpretation:
         """Derive new facts and return them as a delta interpretation.
 
         The argument interpretation is mutated: new facts are added to it.
-        When ``delta`` is provided, clause evaluation uses the semi-naive
-        restriction for clauses that support it.
         """
         new_delta = Interpretation()
         for fact in self._database_facts:
             if interpretation.add_fact(fact):
                 new_delta.add_fact(fact)
         for evaluator in self._evaluators:
-            derived = list(evaluator.derive(interpretation, delta))
+            derived = list(evaluator.derive(interpretation))
             for fact in derived:
                 if interpretation.add_fact(fact):
                     new_delta.add_fact(fact)

@@ -65,9 +65,8 @@ class FollowerServer(DatalogServer):
         The leader's replication endpoint: ``"host:port"`` or a
         ``(host, port)`` tuple (the leader's ordinary API port — the
         subscription travels over the same protocol).
-    limits, transducers, workers, result_cache_size:
-        As on :class:`DatalogServer`; ``workers`` parallelises the
-        follower's *apply* path the same way it does leader maintenance.
+    limits, transducers, result_cache_size:
+        As on :class:`DatalogServer`.
     follower_id:
         Stable name reported to the leader (diagnostics only).
     start:
@@ -81,7 +80,6 @@ class FollowerServer(DatalogServer):
         leader: Union[str, Tuple[str, int]],
         limits: Optional[EvaluationLimits] = None,
         transducers: Optional[TransducerRegistry] = None,
-        workers: Optional[int] = None,
         result_cache_size: int = 1024,
         follower_id: Optional[str] = None,
         connect_timeout: float = 5.0,
@@ -94,7 +92,6 @@ class FollowerServer(DatalogServer):
             program,
             limits=limits,
             transducers=transducers,
-            workers=workers,
             result_cache_size=result_cache_size,
         )
         if isinstance(leader, str):
@@ -369,7 +366,6 @@ class FollowerServer(DatalogServer):
             self.program,
             limits=self._session.limits,
             transducers=self._session._transducers,
-            workers=self.workers,
             lazy=True,  # restore_state needs a pristine, unmaterialised session
         )
         try:

@@ -511,8 +511,6 @@ def open_session(
     prepared_cache_size: int = 128,
     demand_cache_size: int = 32,
     lazy: bool = False,
-    workers: Optional[int] = None,
-    parallel_mode: str = "auto",
     use_kernels: Optional[bool] = None,
     storage_options: Optional[Dict[str, Any]] = None,
 ) -> DatalogSession:
@@ -555,8 +553,6 @@ def open_session(
         prepared_cache_size=prepared_cache_size,
         demand_cache_size=demand_cache_size,
         lazy=True,  # recovery controls materialisation itself
-        workers=workers,
-        parallel_mode=parallel_mode,
         use_kernels=use_kernels,
     )
     try:

@@ -210,82 +210,6 @@ class TestServeCommand:
         assert "% 1 answers" in output
 
 
-class TestParallelAndServerFlags:
-    def test_run_parallel_strategy_matches_compiled(
-        self, program_file, database_file
-    ):
-        compiled_out, parallel_out = io.StringIO(), io.StringIO()
-        base = ["run", program_file, "--db", database_file, "--query", "suffix(X)"]
-        assert main(base, out=compiled_out) == 0
-        assert (
-            main(base + ["--strategy", "parallel", "--workers", "2"], out=parallel_out)
-            == 0
-        )
-        def answers(output):
-            return [
-                line
-                for line in output.getvalue().splitlines()
-                if not line.startswith("%")
-            ]
-
-        assert answers(parallel_out) == answers(compiled_out)
-
-    def _serve_workers(self, program_file, database_file, tmp_path, script):
-        path = tmp_path / "commands.txt"
-        path.write_text(script)
-        out = io.StringIO()
-        code = main(
-            [
-                "serve", program_file, "--db", database_file,
-                "--script", str(path), "--workers", "2",
-            ],
-            out=out,
-        )
-        return code, out.getvalue()
-
-    def test_serve_workers_queries_and_maintains(
-        self, program_file, database_file, tmp_path
-    ):
-        script = 'query suffix(X)\nadd r xyz\nquery suffix("yz")\nstats\nquit\n'
-        code, output = self._serve_workers(
-            program_file, database_file, tmp_path, script
-        )
-        assert code == 0
-        assert "server mode: 2 workers" in output
-        lines = output.splitlines()
-        assert "abc" in lines and "yz" in lines
-        stats = json.loads(output.strip().splitlines()[-1])
-        assert stats["server"]["generation"] == 1
-        assert stats["server"]["workers"] == 2
-
-    def test_serve_workers_result_cache_hits(
-        self, program_file, database_file, tmp_path
-    ):
-        script = "query suffix(X)\nquery suffix(X)\nstats\n"
-        code, output = self._serve_workers(
-            program_file, database_file, tmp_path, script
-        )
-        assert code == 0
-        stats = json.loads(output.strip().splitlines()[-1])
-        assert stats["server"]["result_cache"]["hits"] == 1
-
-    def test_serve_workers_rejects_demand(
-        self, program_file, database_file, tmp_path
-    ):
-        path = tmp_path / "commands.txt"
-        path.write_text("quit\n")
-        out = io.StringIO()
-        code = main(
-            [
-                "serve", program_file, "--db", database_file,
-                "--script", str(path), "--workers", "2", "--demand",
-            ],
-            out=out,
-        )
-        assert code == 1
-        assert "drop --demand" in out.getvalue()
-
-
 class TestLintCommand:
     @pytest.fixture
     def bad_file(self, tmp_path, monkeypatch):

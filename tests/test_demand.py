@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.core import paper_programs
 from repro.engine import compute_least_fixpoint, evaluate_query
 from repro.engine.demand import adornment_of, compile_demand, demand_query
-from repro.engine.fixpoint import COMPILED, NAIVE, SEMI_NAIVE
+from repro.engine.fixpoint import COMPILED, NAIVE
 from repro.engine.limits import EvaluationLimits
 from repro.engine.plan import AtomScan
 from repro.errors import (
@@ -397,7 +397,7 @@ class TestSessionPoisoning:
 
 
 class TestIterationLimitOffByOne:
-    @pytest.mark.parametrize("strategy", [NAIVE, SEMI_NAIVE, COMPILED])
+    @pytest.mark.parametrize("strategy", [NAIVE, COMPILED])
     def test_max_iterations_permits_exactly_that_many_rounds(self, strategy):
         program = paper_programs.suffixes_program()
         database = SequenceDatabase.from_dict({"r": ["abcd"]})

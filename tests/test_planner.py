@@ -1,5 +1,7 @@
 """Tests for the compiled-plan layer: clause plans, scheduling, execution."""
 
+import sys
+
 import pytest
 
 from repro.core import paper_programs
@@ -13,6 +15,7 @@ from repro.engine.fixpoint import (
 from repro.engine.plan import AtomScan, BindEquality, CompareFilter, EnumerateComparison
 from repro.engine.planner import PlanExecutor, compile_clause, compile_program
 from repro.language.parser import parse_clause, parse_program
+from repro.sequences import ExtendedDomain
 
 
 class TestClauseCompilation:
@@ -162,6 +165,34 @@ class TestPlanExecution:
                 program, database, strategy=COMPILED, transducers=transducers
             )
             assert naive.interpretation == compiled.interpretation
+
+    def test_index_only_enumeration_leaves_the_domain_sequences_alone(
+        self, monkeypatch
+    ):
+        """An enumeration over index variables only (EcoRI site search
+        enumerates ``N``) must not copy the domain's sequence set, whose
+        size grows with the model, on every firing."""
+        program = parse_program(
+            'site_at(R, R[N:end]) :- dnaseq(R), R[N:N+5] = "gaattc".'
+        )
+        plan = compile_clause(program.clauses[0])
+        assert any(isinstance(step, EnumerateComparison) for step in plan.steps)
+        database = SequenceDatabase.from_dict(
+            {"dnaseq": ["ccgaattcaagaattcg", "gaattc", "acgt"]}
+        )
+        naive = compute_least_fixpoint(program, database, strategy=NAIVE)
+        callers = []
+        original = ExtendedDomain.sequences
+
+        def counting_sequences(self):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(self)
+
+        monkeypatch.setattr(ExtendedDomain, "sequences", counting_sequences)
+        compiled = compute_least_fixpoint(program, database, strategy=COMPILED)
+        assert callers.count("_run_enumerate") == 0
+        assert compiled.interpretation == naive.interpretation
+        assert len(compiled.interpretation.tuples("site_at")) == 3
 
     def test_compiled_is_the_default_strategy(self, small_string_db):
         assert DEFAULT_STRATEGY == COMPILED

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import paper_programs
 from repro.database import SequenceDatabase
 from repro.engine import compute_least_fixpoint, evaluate_query
-from repro.engine.fixpoint import COMPILED, NAIVE, SEMI_NAIVE
+from repro.engine.fixpoint import COMPILED, NAIVE
 from repro.engine.limits import EvaluationLimits
 from repro.language.parser import parse_program
 from repro.sequences import ExtendedDomain, Sequence, subsequences
@@ -218,14 +218,13 @@ def test_compiled_strategy_matches_naive_on_random_programs(
         sources.append(source)
     program = parse_program("".join(sources))
     database = string_database(count, length, alphabet="ab", seed=seed)
-    results = {
-        strategy: compute_least_fixpoint(
-            program, database, limits=_EQUIVALENCE_LIMITS, strategy=strategy
-        )
-        for strategy in (NAIVE, SEMI_NAIVE, COMPILED)
-    }
-    assert results[NAIVE].interpretation == results[COMPILED].interpretation
-    assert results[NAIVE].interpretation == results[SEMI_NAIVE].interpretation
+    naive = compute_least_fixpoint(
+        program, database, limits=_EQUIVALENCE_LIMITS, strategy=NAIVE
+    )
+    compiled = compute_least_fixpoint(
+        program, database, limits=_EQUIVALENCE_LIMITS, strategy=COMPILED
+    )
+    assert naive.interpretation == compiled.interpretation
 
 
 @SLOW
@@ -245,78 +244,10 @@ def test_compiled_strategy_matches_naive_on_repeat_workloads(seed):
 
 
 # ----------------------------------------------------------------------
-# Parallel evaluation agrees with the sequential compiled strategy: wave
-# scheduling and range partitioning only reorder monotone firings, so the
-# least fixpoint (which is unique) must come out fact-for-fact identical.
-# ----------------------------------------------------------------------
-@SLOW
-@given(
-    st.lists(
-        st.sampled_from(_CLAUSE_TEMPLATES), min_size=1, max_size=4, unique=True
-    ),
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=1, max_value=3),
-    st.integers(min_value=1, max_value=4),
-)
-def test_parallel_strategy_matches_compiled_on_random_programs(
-    templates, seed, count, length
-):
-    from repro.engine.parallel import ParallelFixpoint
-
-    sources = []
-    for source in templates:
-        try:
-            parse_program("".join(sources + [source])).signatures()
-        except Exception:
-            continue  # arity clash between templates (p/1 vs p/2): drop it
-        sources.append(source)
-    program = parse_program("".join(sources))
-    database = string_database(count, length, alphabet="ab", seed=seed)
-    compiled = compute_least_fixpoint(
-        program, database, limits=_EQUIVALENCE_LIMITS, strategy=COMPILED
-    )
-    # Thread backend with aggressive partitioning exercises the concurrent
-    # merge barrier on every example; hypothesis drives the program shapes.
-    engine = ParallelFixpoint(
-        program, workers=3, mode="thread", min_partition_rows=1
-    )
-    try:
-        engine.load_database(database)
-        engine.run(_EQUIVALENCE_LIMITS)
-        assert engine.interpretation == compiled.interpretation
-    finally:
-        engine.close()
-
-
-def test_parallel_process_pool_matches_compiled_on_sampled_programs():
-    """A non-hypothesis spot check of the process pool (worker startup is
-    too slow to fork per hypothesis example) over mixed clause shapes."""
-    from repro.engine.parallel import ParallelFixpoint
-
-    compatible = _CLAUSE_TEMPLATES[:3] + _CLAUSE_TEMPLATES[4:9]  # all p/1, q/1
-    program = parse_program("".join(compatible))
-    for seed in (1, 99, 4242):
-        database = string_database(3, 3, alphabet="ab", seed=seed)
-        compiled = compute_least_fixpoint(
-            program, database, limits=_EQUIVALENCE_LIMITS, strategy=COMPILED
-        )
-        engine = ParallelFixpoint(
-            program, workers=2, mode="process",
-            min_partition_rows=1, process_threshold=0,
-        )
-        try:
-            engine.load_database(database)
-            engine.run(_EQUIVALENCE_LIMITS)
-            assert engine.interpretation == compiled.interpretation
-        finally:
-            engine.close()
-
-
-# ----------------------------------------------------------------------
 # Batch kernel execution agrees with the per-tuple path: a batchable plan
 # is a pure relational join over interned ids, so routing it through the
 # kernels must not change a single fact — across full firings, semi-naive
-# deltas, parallel windows, demand restriction and session maintenance.
+# deltas, demand restriction and session maintenance.
 # ----------------------------------------------------------------------
 
 # Join-heavy templates: most are batchable (multi-atom joins, constant
@@ -361,39 +292,6 @@ def test_batch_kernels_match_tuple_path_on_random_programs(
     )
     assert on.interpretation == off.interpretation
     assert on.fact_count == off.fact_count
-
-
-@SLOW
-@given(
-    st.lists(
-        st.sampled_from(_KERNEL_TEMPLATES), min_size=1, max_size=5, unique=True
-    ),
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=3),
-)
-def test_batch_kernels_match_tuple_path_under_parallel_windows(
-    templates, seed, count, length
-):
-    """Partitioned delta windows hit the kernels' mid-store probe paths."""
-    from repro.engine.parallel import ParallelFixpoint
-
-    program = parse_program("".join(templates))
-    database = string_database(count, length, alphabet="ab", seed=seed)
-    reference = compute_least_fixpoint(
-        program, database, limits=_EQUIVALENCE_LIMITS,
-        strategy=COMPILED, use_kernels=False,
-    )
-    engine = ParallelFixpoint(
-        program, workers=3, mode="thread", min_partition_rows=1,
-        use_kernels=True,
-    )
-    try:
-        engine.load_database(database)
-        engine.run(_EQUIVALENCE_LIMITS)
-        assert engine.interpretation == reference.interpretation
-    finally:
-        engine.close()
 
 
 @SLOW
@@ -745,7 +643,6 @@ def test_crash_recovery_is_fact_for_fact_identical(batches, data):
             if index == checkpoint_after:
                 durable.storage.checkpoint()
         durable.storage.abandon()  # crash: nothing else reaches disk
-        durable._core.close()
 
         recovered = open_session(program, tmp)
         witness = DatalogSession(program)

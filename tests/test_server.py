@@ -108,9 +108,9 @@ class TestBasics:
 
     def test_engine_api_serve(self):
         engine = SequenceDatalogEngine(CHAIN)
-        with engine.serve({"base": ["x"]}, workers=2) as server:
+        with engine.serve({"base": ["x"]}) as server:
             assert server.query("derived(X)").values("X") == ["x"]
-            assert server.stats()["server"]["workers"] == 2
+            assert server.stats()["server"]["generation"] == 0
 
     def test_wrapping_an_existing_session(self):
         session = DatalogSession(CHAIN, {"base": ["a"]})
@@ -120,16 +120,11 @@ class TestBasics:
 
     def test_wrapping_a_session_rejects_ignored_arguments(self):
         session = DatalogSession(CHAIN, {"base": ["a"]})
-        with pytest.raises(ValidationError, match="workers"):
-            DatalogServer(session, workers=8)
+        with pytest.raises(ValidationError, match="limits"):
+            DatalogServer(session, limits=EvaluationLimits())
         with pytest.raises(ValidationError, match="database"):
             DatalogServer(session, database={"base": ["b"]})
         session.close()
-
-    def test_wrapping_a_parallel_session_reports_its_workers(self):
-        with DatalogSession(CHAIN, {"base": ["a"]}, workers=2) as session:
-            with DatalogServer(session) as server:
-                assert server.stats()["server"]["workers"] == 2
 
     def test_malformed_batch_publishes_nothing(self):
         with _chain_server() as server:

@@ -7,8 +7,11 @@ from repro.core import paper_programs
 from repro.engine import compute_least_fixpoint
 from repro.engine.limits import EvaluationLimits
 from repro.engine.plan import AtomScan
+from repro.engine.planner import PlanExecutor
 from repro.errors import (
+    EvaluationError,
     FixpointNotReached,
+    SessionPoisonedError,
     UnknownPredicateError,
     ValidationError,
 )
@@ -141,6 +144,26 @@ class TestIncrementalMaintenance:
             session.add_facts([("r", ("b",)), ("q", ("x", "y")), ("q", ("z",))])
         # Whatever was accepted must be fully derived: still a fixpoint.
         assert session.query("p(X)").texts() == [("a",), ("b",)]
+
+    def test_executor_failure_poisons_session(self, monkeypatch):
+        """An error raised inside a firing, not only a resource limit,
+        poisons the session: the run stopped short of the fixpoint."""
+        session = DatalogSession(
+            "reach(X, Y) :- edge(X, Y).\n"
+            "reach(X, Z) :- reach(X, Y), edge(Y, Z).",
+            {"edge": [("a", "b"), ("b", "c")]},
+        )
+
+        def failing_firing(self, interpretation, delta_views):
+            raise EvaluationError("executor failed mid-firing")
+
+        # Maintenance fires the delta-safe plans delta-restricted.
+        monkeypatch.setattr(PlanExecutor, "derive_semi_naive", failing_firing)
+        with pytest.raises(EvaluationError, match="mid-firing"):
+            session.add_facts({"edge": [("c", "d")]})
+        assert session.poisoned
+        with pytest.raises(SessionPoisonedError):
+            session.query("reach(X, Y)")
 
 
 class TestPreparedQueries:

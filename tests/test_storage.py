@@ -43,7 +43,6 @@ def model_facts(session):
 def crash(session):
     """Simulate a crash: drop file handles without flushing any state."""
     session.storage.abandon()
-    session._core.close()
 
 
 def flip_byte(path, offset):

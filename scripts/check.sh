@@ -16,14 +16,17 @@
 #      scripts/bench_compare.py's POLICIES runs its --smoke command, and
 #      its bench_<name>.validate_report checks the JSON shape and the
 #      per-case identity claims;
-#   6. end-to-end TCP smoke: bind a live server on a free port, drive it
+#   6. end-to-end benchmark oracles (perfbench/selftest.py): every oracle
+#      of the benchmark accepts the true answer and rejects each
+#      corruption of it;
+#   7. end-to-end TCP smoke: bind a live server on a free port, drive it
 #      with a real DatalogClient and a raw socket, validate the versioned
 #      JSON envelopes (schema v1, typed results, structured errors);
-#   7. end-to-end replication smoke: a leader and a follower as two real
+#   8. end-to-end replication smoke: a leader and a follower as two real
 #      processes wired through the --json listening envelopes, a write on
 #      the leader read back from the follower, and the not_leader
 #      redirect validated over the wire;
-#   8. end-to-end live-watch smoke: an asyncio server watched by the
+#   9. end-to-end live-watch smoke: an asyncio server watched by the
 #      typed client and by a raw socket, one published generation, the
 #      watching/subscription_delta envelopes validated on the wire.
 #
@@ -73,6 +76,9 @@ for name, policy in sorted(POLICIES.items()):
     importlib.import_module(f"bench_{name}").validate_report(report)
     print(f"ok: bench_{name}: {len(report['cases'])} cases, report valid")
 EOF
+
+echo "== benchmark oracles (perfbench/selftest.py) =="
+python perfbench/selftest.py
 
 echo "== end-to-end TCP smoke (serve_tcp + DatalogClient) =="
 python - <<'EOF'

@@ -12,13 +12,15 @@ Two strategies are provided:
   strata, bottom-up.  Evaluation proceeds in global sweeps over that
   order; within a sweep a plan re-fires only when one of its body
   relations gained rows since its last firing (tracked by append-only
-  version counters, joined through zero-copy delta views) or -- for
-  clauses whose derivations can depend on the extended domain itself --
-  when the domain grew.  Sweeping all strata (instead of iterating each
-  stratum to a local fixpoint) costs only O(1) gating checks per
-  up-to-date plan, handles domain growth flowing from higher strata back
-  down, and keeps the partial interpretation of a limit-aborted
-  evaluation representative of every predicate.  Delta restriction is
+  version counters, joined through zero-copy delta views, one firing per
+  changed body atom in the plan's delta-first order for that atom, so a
+  firing starts from the new rows) or -- for clauses whose derivations can
+  depend on the extended domain itself -- when the domain grew.  Sweeping
+  all strata (instead of iterating each stratum to a local fixpoint) costs
+  only O(1) gating checks per up-to-date plan, handles domain growth
+  flowing from higher strata back down, and keeps the partial
+  interpretation of a limit-aborted evaluation representative of every
+  predicate.  Delta restriction is
   complete only for *delta-safe* clauses (at least one body atom, every
   sequence variable guarded, every index variable in a body atom): their
   new derivations can only arise from new facts, never from mere growth

@@ -23,7 +23,10 @@ firing can run as a short pipeline of batch operators:
 
 Batches are row-major lists of id tuples with a static variable→slot map;
 the columnar storage is sliced once per scan (``array`` slicing and ``zip``
-run at C speed) and everything downstream is int tuple manipulation.
+run at C speed) and everything downstream is int tuple manipulation.  A
+plan's base order and each of its delta-first orders compile into their own
+pipeline, since each order lays its slots out differently; a delta firing
+runs the pipeline that scans the delta window first.
 
 Correctness rests on two invariants, both enforced elsewhere and
 backstopped by the randomized equivalence properties in
@@ -56,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.database.relation import RelationDelta, SequenceRelation
 from repro.engine.interpretation import Interpretation
-from repro.engine.plan import AtomScan, BindEquality, ClausePlan, CompareFilter
+from repro.engine.plan import AtomScan, BindEquality, ClausePlan, CompareFilter, PlanStep
 from repro.language.terms import ConstantTerm, SequenceVariable
 from repro.sequences import Sequence
 
@@ -274,44 +277,55 @@ class _FilterOp:
         return slots[term.name], 0
 
 
+#: One compiled step order: its batch operators and its head-key extractor.
+Pipeline = Tuple[Tuple[Union[_ScanOp, _FilterOp], ...], Callable[[IdRow], IdRow]]
+
+
 class BatchExecutor:
     """Executes a batchable clause plan as a pipeline of batch kernels.
 
-    ``derive``/``derive_delta`` mirror :class:`PlanExecutor`'s firing
-    semantics exactly (same step order, same delta restriction, same
-    emitted fact set up to duplicates) but return materialised fact lists
-    instead of generators — the fixpoint engine materialises derivations
-    before merging anyway.
+    Each distinct step order of the plan — the base order and its
+    delta-first orders (:attr:`ClausePlan.delta_steps`) — compiles into
+    its own operator pipeline and head-key extractor, because each order
+    lays out its batch slots differently.  ``derive`` runs the base order;
+    ``derive_delta`` runs the order for the restricted position.  Both
+    mirror :class:`PlanExecutor`'s firing semantics exactly (same orders,
+    same delta restriction, same emitted fact set up to duplicates) but
+    return materialised fact lists instead of generators — the fixpoint
+    engine materialises derivations before merging anyway.
     """
 
-    __slots__ = (
-        "plan", "_ops", "_scan_positions", "_seed_row", "_head_parts",
-        "_head_key",
-    )
+    __slots__ = ("plan", "_seed_row", "_base", "_delta")
 
     def __init__(self, plan: ClausePlan, seed_row: IdRow = ()) -> None:
         self.plan = plan
-        slots: Dict[str, int] = {name: i for i, name in enumerate(plan.seed_sequences)}
         self._seed_row = tuple(seed_row)
+        pipelines = {
+            steps: self._compile(steps) for steps in {plan.steps, *plan.delta_steps}
+        }
+        self._base = pipelines[plan.steps]
+        self._delta = tuple(
+            pipelines[plan.delta_order(position)] for position in range(plan.atom_count)
+        )
+
+    def _compile(self, steps: Tuple[PlanStep, ...]) -> Pipeline:
+        """Compile one step order into its operators and head-key extractor."""
+        plan = self.plan
+        slots: Dict[str, int] = {name: i for i, name in enumerate(plan.seed_sequences)}
         ops: List[Union[_ScanOp, _FilterOp]] = []
-        for step in plan.steps:
+        for step in steps:
             if isinstance(step, AtomScan):
                 ops.append(_ScanOp(step, slots))
             else:
                 assert isinstance(step, CompareFilter)
                 ops.append(_FilterOp(step, slots))
-        self._ops = tuple(ops)
-        self._scan_positions = frozenset(
-            op.atom_position for op in ops if isinstance(op, _ScanOp)
-        )
         head_parts: List[Tuple[bool, int]] = []
         for arg in plan.clause.head.args:
             if isinstance(arg, ConstantTerm):
                 head_parts.append((False, arg.value.intern_id))
             else:
                 head_parts.append((True, slots[arg.name]))
-        self._head_parts = tuple(head_parts)
-        self._head_key = self._compile_head_key(self._head_parts)
+        return tuple(ops), self._compile_head_key(tuple(head_parts))
 
     @staticmethod
     def _compile_head_key(
@@ -344,7 +358,7 @@ class BatchExecutor:
         self, interpretation: Interpretation, atom_position: int, view: ScanSource
     ) -> list:
         """Fire once with the scan at ``atom_position`` restricted to ``view``."""
-        if atom_position not in self._scan_positions:
+        if not 0 <= atom_position < len(self._delta):
             return []
         return self._execute(interpretation, atom_position, view)
 
@@ -357,9 +371,10 @@ class BatchExecutor:
         delta_position: int,
         view: Optional[ScanSource],
     ) -> list:
+        ops, head_key = self._base if delta_position < 0 else self._delta[delta_position]
         counters = {"scan_rows": 0, "probe_rows": 0, "filter_rows": 0}
         batch: Batch = [self._seed_row]
-        for op in self._ops:
+        for op in ops:
             if isinstance(op, _ScanOp):
                 batch = self._run_scan(
                     op, batch, interpretation, delta_position, view, counters
@@ -369,7 +384,7 @@ class BatchExecutor:
                 batch = self._run_filter(op, batch)
             if not batch:
                 break
-        facts = self._emit(batch, interpretation) if batch else []
+        facts = self._emit(batch, interpretation, head_key) if batch else []
         with _STATS_LOCK:
             _COUNTERS["batched_firings"] += 1
             _COUNTERS["scan_rows"] += counters["scan_rows"]
@@ -554,13 +569,17 @@ class BatchExecutor:
             return [row for row in batch if (row[right] == constant) == keep_equal]
         return batch if (op.left_const == op.right_const) == keep_equal else []
 
-    def _emit(self, batch: Batch, interpretation: Interpretation) -> list:
+    def _emit(
+        self,
+        batch: Batch,
+        interpretation: Interpretation,
+        extract: Callable[[IdRow], IdRow],
+    ) -> list:
         predicate = self.plan.head_predicate
         target = interpretation.relation(predicate)
-        extract = self._head_key
         existing: Dict = (
             target.id_keys()
-            if target is not None and target.arity == len(self._head_parts)
+            if target is not None and target.arity == self.plan.clause.head.arity
             else {}
         )
         seen = set()

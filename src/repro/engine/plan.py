@@ -4,9 +4,12 @@ The backtracking reference evaluator (:mod:`repro.engine.evaluation`)
 re-derives its literal order at every search node with
 ``ClauseEvaluator._choose_literal``.  That choice depends only on *which*
 variables are bound — never on their values — so the entire decision tree
-collapses to a single static order that can be computed once per clause.
+collapses to a static order that can be computed once per clause.  A
+semi-naive firing restricts one body atom to its delta window, so a plan
+also carries one delta-first order per body atom: that atom is scanned
+first and the rest follow the same greedy choice.
 
-A :class:`ClausePlan` is that order, expressed as a sequence of steps:
+A :class:`ClausePlan` holds those orders, each a sequence of steps:
 
 * :class:`AtomScan` — match one body atom against the fact store, using the
   composite hash index over the columns that are bound when the step runs
@@ -55,9 +58,15 @@ class AtomScan:
     atom_position: int
     bound_columns: Tuple[int, ...]
 
-    def describe(self) -> str:
-        if self.bound_columns:
-            columns = ",".join(str(column) for column in self.bound_columns)
+    def describe(self, delta: bool = False) -> str:
+        """The step as ``explain`` prints it; ``delta`` marks a scan that
+        reads the firing's delta window rather than the whole relation."""
+        columns = ",".join(str(column) for column in self.bound_columns)
+        if delta:
+            access = "delta window"
+            if columns:
+                access += f", index on columns [{columns}]"
+        elif columns:
             access = f"index scan on columns [{columns}]"
         else:
             access = "full scan"
@@ -138,6 +147,16 @@ class ClausePlan:
     body runs (adornment-aware compilation): the executor is given their
     values as an initial substitution, so scans over them become index
     lookups.
+
+    ``steps`` is the base order, used by full firings and by
+    :meth:`~repro.engine.planner.PlanExecutor.solutions`.  ``delta_steps``
+    holds, for each body-atom position of a delta-safe plan, the order a
+    firing restricted to that atom's delta runs in: the atom first, then
+    the greedy choice.  A position whose pinned order would observe the
+    domain more than the base order, or would leave the batch kernels,
+    holds the base order itself.  Plans that never fire in delta mode,
+    and plans with a single body atom, have none: their delta firings run
+    the base order.
     """
 
     clause: Clause
@@ -147,6 +166,7 @@ class ClausePlan:
     atom_count: int
     domain_sensitive: bool = False
     seed_sequences: Tuple[str, ...] = ()
+    delta_steps: Tuple[Tuple[PlanStep, ...], ...] = ()
 
     @property
     def head_predicate(self) -> str:
@@ -156,6 +176,12 @@ class ClausePlan:
         return tuple(
             sorted({step.atom.predicate for step in self.steps if isinstance(step, AtomScan)})
         )
+
+    def delta_order(self, atom_position: int) -> Tuple[PlanStep, ...]:
+        """The steps of a firing whose atom at ``atom_position`` reads a delta."""
+        if 0 <= atom_position < len(self.delta_steps):
+            return self.delta_steps[atom_position]
+        return self.steps
 
     def explain(self) -> str:
         """A human-readable rendering of the plan."""
@@ -176,6 +202,19 @@ class ClausePlan:
         for number, step in enumerate(self.steps, start=1):
             lines.append(f"  {number}. {step.describe()}")
         lines.append(f"  {len(self.steps) + 1}. {self.head_plan.describe()}")
+        for steps in self.delta_steps:
+            if steps == self.steps:
+                continue
+            first = steps[0]
+            assert isinstance(first, AtomScan)
+            lines.append(
+                f"  delta-first order for body atom {first.atom_position + 1}, "
+                f"{first.atom}:"
+            )
+            lines.append(f"    1. {first.describe(delta=True)}")
+            for number, step in enumerate(steps[1:], start=2):
+                lines.append(f"    {number}. {step.describe()}")
+            lines.append(f"    {len(steps) + 1}. {self.head_plan.describe()}")
         return "\n".join(lines)
 
 

@@ -15,8 +15,19 @@ on every surviving branch:
 
 Simulating the greedy choice over this abstract "bound set" therefore
 yields the same literal order the backtracking evaluator would discover at
-every node, collapsed into a single static plan with the index columns for
-each scan chosen up front.
+every node, collapsed into a static plan with the index columns for each
+scan chosen up front.
+
+That base order serves full firings.  A semi-naive firing restricts one
+body atom to the rows it gained, and ``T_{P,db}`` is monotone, so every
+new derivation joins at least one such row: for each body atom the planner
+also compiles a delta-first order, which scans that atom first and
+continues with the same greedy choice, so the other atoms are probed
+through composite indexes on the variables the delta row binds.  A
+position keeps the base order when pinning its atom would make matching
+observe the extended domain where the base order does not (an indexed
+term over a base the pinned atom leaves unbound), or would take a
+batchable plan off the batch kernels.
 
 :class:`PlanExecutor` runs a plan against an interpretation.  It reuses
 the shared matching helpers of :mod:`repro.engine.evaluation`, so the
@@ -26,6 +37,7 @@ paper's matching semantics (Section 3.2) and cannot drift apart.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
@@ -261,10 +273,126 @@ def _comparison_enumeration_sensitive(
     return False
 
 
+def _order_body(
+    pending: List[Tuple[BodyLiteral, int]],
+    seeds: Tuple[str, ...],
+    first: int = -1,
+) -> Tuple[Tuple[PlanStep, ...], _BoundSet, int]:
+    """Order a clause body into plan steps by the greedy bound-set choice.
+
+    ``first`` pins the body atom at that atom position as step one (the
+    delta-first variants); the remaining literals follow :func:`_choose`.
+    Returns the steps, the final bound set, and how often the order
+    observes the extended domain: indexed terms scanned over an unbound or
+    constant base, non-domain-rooted binding equalities and
+    domain-sensitive enumerations.  The plan is domain-sensitive when that
+    count is non-zero.
+    """
+    pending = list(pending)
+    bound = _BoundSet()
+    bound.sequences |= set(seeds)
+    steps: List[PlanStep] = []
+    domain_steps = 0
+    while pending:
+        if first >= 0:
+            index = next(
+                index for index, (_, position) in enumerate(pending)
+                if position == first
+            )
+            first = -1
+        else:
+            index = _choose(pending, bound)
+        literal, position = pending.pop(index)
+        if isinstance(literal, Atom):
+            bound_columns = tuple(
+                column
+                for column, arg in enumerate(literal.args)
+                if bound.covers_term(arg)
+            )
+            for arg in literal.args:
+                if not isinstance(arg, IndexedTerm):
+                    continue
+                base = arg.base
+                if not isinstance(base, SequenceVariable):
+                    # Constant base: index clipping varies with the domain.
+                    domain_steps += 1
+                elif base.name not in bound.sequences:
+                    # Unbound base: matching enumerates domain sequences.
+                    domain_steps += 1
+            steps.append(AtomScan(literal, position, bound_columns))
+            bound.sequences |= literal.sequence_variables()
+            bound.indexes |= literal.index_variables()
+            continue
+        assert isinstance(literal, Comparison)
+        if bound.covers_literal(literal):
+            steps.append(CompareFilter(literal))
+            continue
+        binding = _binding_side(literal, bound)
+        if binding is not None:
+            variable, term = binding
+            if not _term_domain_rooted(term):
+                # The bound value's domain-membership check observes the
+                # ambient domain (a constant may be in one domain, not
+                # another).
+                domain_steps += 1
+            steps.append(BindEquality(variable, term, literal))
+            bound.sequences.add(variable)
+            continue
+        sequence_vars = tuple(
+            sorted(literal.sequence_variables() - bound.sequences)
+        )
+        index_vars = tuple(sorted(literal.index_variables() - bound.indexes))
+        if sequence_vars or _comparison_enumeration_sensitive(literal, index_vars):
+            # Sequence variables range over the whole domain; index-only
+            # enumeration self-clips unless a constant base or subtractive
+            # index expression lets solutions escape the domain's bound.
+            domain_steps += 1
+        steps.append(EnumerateComparison(literal, sequence_vars, index_vars))
+        bound.sequences |= literal.sequence_variables()
+        bound.indexes |= literal.index_variables()
+    return tuple(steps), bound, domain_steps
+
+
+def _delta_orders(
+    plan: ClausePlan,
+    pending: List[Tuple[BodyLiteral, int]],
+    base_domain_steps: int,
+) -> Tuple[Tuple[PlanStep, ...], ...]:
+    """One step order per body-atom position, that atom scanned first.
+
+    Semi-naive firings restrict one atom to its delta window; scanning it
+    first makes the firing cost what the delta costs, with the other atoms
+    probed through composite indexes.  A position keeps the base order
+    when pinning would add a step that observes the domain (for example,
+    an indexed term whose base the pinned atom leaves unbound) or would
+    take a batchable plan off the batch kernels.
+    """
+    batchable, _ = kernels.batch_classification(plan)
+    orders = []
+    for position in range(plan.atom_count):
+        steps, _, domain_steps = _order_body(pending, plan.seed_sequences, position)
+        if (
+            steps == plan.steps
+            or domain_steps > base_domain_steps
+            or (
+                batchable
+                and not kernels.batch_classification(replace(plan, steps=steps))[0]
+            )
+        ):
+            steps = plan.steps
+        orders.append(steps)
+    return tuple(orders)
+
+
 def compile_clause(
     clause: Clause, bound_sequences: Iterable[str] = ()
 ) -> ClausePlan:
     """Compile one clause into a static join plan.
+
+    The base order (``steps``) serves full firings and solution
+    enumeration.  Delta-safe clauses with two or more body atoms also get
+    ``delta_steps``: for each body-atom position, the order a semi-naive
+    firing restricted to that atom runs in (see :func:`_delta_orders`).
 
     ``bound_sequences`` names sequence variables assumed bound *before* the
     body runs (adornment-aware compilation for demand-driven evaluation):
@@ -284,62 +412,9 @@ def compile_clause(
             atom_position += 1
         pending.append((literal, position))
 
-    bound = _BoundSet()
     seeds = tuple(sorted(set(bound_sequences) & clause.sequence_variables()))
-    bound.sequences |= set(seeds)
-    steps: List[PlanStep] = []
-    domain_sensitive = False
-    while pending:
-        index = _choose(pending, bound)
-        literal, position = pending.pop(index)
-        if isinstance(literal, Atom):
-            bound_columns = tuple(
-                column
-                for column, arg in enumerate(literal.args)
-                if bound.covers_term(arg)
-            )
-            for arg in literal.args:
-                if not isinstance(arg, IndexedTerm):
-                    continue
-                base = arg.base
-                if not isinstance(base, SequenceVariable):
-                    # Constant base: index clipping varies with the domain.
-                    domain_sensitive = True
-                elif base.name not in bound.sequences:
-                    # Unbound base: matching enumerates domain sequences.
-                    domain_sensitive = True
-            steps.append(AtomScan(literal, position, bound_columns))
-            bound.sequences |= literal.sequence_variables()
-            bound.indexes |= literal.index_variables()
-            continue
-        assert isinstance(literal, Comparison)
-        if bound.covers_literal(literal):
-            steps.append(CompareFilter(literal))
-            continue
-        binding = _binding_side(literal, bound)
-        if binding is not None:
-            variable, term = binding
-            if not _term_domain_rooted(term):
-                # The bound value's domain-membership check observes the
-                # ambient domain (a constant may be in one domain, not
-                # another).
-                domain_sensitive = True
-            steps.append(BindEquality(variable, term, literal))
-            bound.sequences.add(variable)
-            continue
-        sequence_vars = tuple(
-            sorted(literal.sequence_variables() - bound.sequences)
-        )
-        index_vars = tuple(sorted(literal.index_variables() - bound.indexes))
-        if sequence_vars or _comparison_enumeration_sensitive(literal, index_vars):
-            # Sequence variables range over the whole domain; index-only
-            # enumeration self-clips unless a constant base or subtractive
-            # index expression lets solutions escape the domain's bound.
-            domain_sensitive = True
-        steps.append(EnumerateComparison(literal, sequence_vars, index_vars))
-        bound.sequences |= literal.sequence_variables()
-        bound.indexes |= literal.index_variables()
-
+    steps, bound, domain_steps = _order_body(pending, seeds)
+    domain_sensitive = domain_steps > 0
     head = clause.head
     head_plan = HeadPlan(
         head=head,
@@ -358,15 +433,18 @@ def compile_clause(
         # seeding is a pure filter only on clauses whose unseeded
         # derivations are body-driven.
         domain_sensitive = compile_clause(clause).domain_sensitive
-    return ClausePlan(
+    plan = ClausePlan(
         clause=clause,
-        steps=tuple(steps),
+        steps=steps,
         head_plan=head_plan,
         delta_safe=clause_is_delta_safe(clause),
         atom_count=atom_position,
         domain_sensitive=domain_sensitive,
         seed_sequences=seeds,
     )
+    if not plan.delta_safe or plan.atom_count < 2:
+        return plan
+    return replace(plan, delta_steps=_delta_orders(plan, pending, domain_steps))
 
 
 def compile_program(
@@ -536,10 +614,11 @@ class PlanExecutor:
 
         For each body atom whose predicate has a (non-empty) entry in
         ``delta_views``, the plan is fired once with that atom restricted to
-        the delta view and all other atoms joined against the full store.
-        The union over positions covers every derivation that uses at least
-        one new fact.  The same derivation can be produced for several
-        positions; deduplication happens on insertion.
+        the delta view and all other atoms joined against the full store,
+        in the plan's delta-first order for that atom.  The union over
+        positions covers every derivation that uses at least one new fact.
+        The same derivation can be produced for several positions;
+        deduplication happens on insertion.
         """
         for step in self._steps:
             if not isinstance(step, AtomScan):
@@ -557,9 +636,10 @@ class PlanExecutor:
     ) -> Iterable[Fact]:
         """Fire once with the atom at ``atom_position`` restricted to ``view``.
 
-        Every other occurrence of the same predicate joins against the full
-        store, so every solution goes through exactly one row of ``view``
-        at the restricted position.
+        The firing runs the plan's delta-first order for that position, so
+        it starts from the rows of ``view``.  Every other occurrence of the
+        same predicate joins against the full store, so every solution goes
+        through exactly one row of ``view`` at the restricted position.
         """
         if self._batch is not None:
             return self._batch.derive_delta(interpretation, atom_position, view)
@@ -572,15 +652,11 @@ class PlanExecutor:
         atom_position: int,
         view: ScanSource,
     ) -> Iterator[Fact]:
-        predicate = None
-        for step in self._steps:
-            if isinstance(step, AtomScan) and step.atom_position == atom_position:
-                predicate = step.atom.predicate
-                break
-        if predicate is None:
+        if not 0 <= atom_position < self.plan.atom_count:
             return
+        steps = self.plan.delta_order(atom_position)
         for substitution in self._run(
-            0, self._initial, interpretation, atom_position, {predicate: view}
+            steps, 0, self._initial, interpretation, atom_position, view
         ):
             yield from self._emit(substitution, interpretation)
 
@@ -592,7 +668,7 @@ class PlanExecutor:
         plan this way, so constant-bound argument positions go through the
         same composite-index ``AtomScan`` machinery as clause bodies.
         """
-        yield from self._run(0, self._initial, interpretation, -1, None)
+        yield from self._run(self._steps, 0, self._initial, interpretation, -1, None)
 
     def _emit(
         self, substitution: Substitution, interpretation: Interpretation
@@ -611,52 +687,60 @@ class PlanExecutor:
     # ------------------------------------------------------------------
     def _run(
         self,
+        steps: Tuple[PlanStep, ...],
         step_index: int,
         substitution: Substitution,
         interpretation: Interpretation,
         delta_position: int,
-        delta_views: Optional[Mapping[str, ScanSource]],
+        view: Optional[ScanSource],
     ) -> Iterator[Substitution]:
-        if step_index == len(self._steps):
+        """Run ``steps`` from ``step_index`` on; the scan of the atom at
+        ``delta_position`` (-1 for none) reads ``view``."""
+        if step_index == len(steps):
             yield substitution
             return
 
-        step = self._steps[step_index]
+        step = steps[step_index]
         if isinstance(step, AtomScan):
             yield from self._run_scan(
-                step, step_index, substitution, interpretation, delta_position, delta_views
+                steps, step, step_index, substitution, interpretation,
+                delta_position, view,
             )
         elif isinstance(step, CompareFilter):
             if substitution.evaluate_comparison(step.comparison):
                 yield from self._run(
-                    step_index + 1, substitution, interpretation, delta_position, delta_views
+                    steps, step_index + 1, substitution, interpretation,
+                    delta_position, view,
                 )
         elif isinstance(step, BindEquality):
             value = substitution.evaluate_sequence(step.term)
             if value is not None and value in interpretation.domain:
                 extended = substitution.bind_sequence(step.variable, value)
                 yield from self._run(
-                    step_index + 1, extended, interpretation, delta_position, delta_views
+                    steps, step_index + 1, extended, interpretation,
+                    delta_position, view,
                 )
         else:
             assert isinstance(step, EnumerateComparison)
             yield from self._run_enumerate(
-                step, step_index, substitution, interpretation, delta_position, delta_views
+                steps, step, step_index, substitution, interpretation,
+                delta_position, view,
             )
 
     def _run_scan(
         self,
+        steps: Tuple[PlanStep, ...],
         step: AtomScan,
         step_index: int,
         substitution: Substitution,
         interpretation: Interpretation,
         delta_position: int,
-        delta_views: Optional[Mapping[str, ScanSource]],
+        view: Optional[ScanSource],
     ) -> Iterator[Substitution]:
         atom = step.atom
         source: Optional[ScanSource]
-        if delta_views is not None and step.atom_position == delta_position:
-            source = delta_views.get(atom.predicate)
+        if step.atom_position == delta_position:
+            source = view
         else:
             source = interpretation.relation(atom.predicate)
         if source is None or source.arity != atom.arity:
@@ -673,17 +757,19 @@ class PlanExecutor:
         for row in source.lookup(bindings):
             for extended in match_args(atom.args, row, 0, substitution, domain):
                 yield from self._run(
-                    step_index + 1, extended, interpretation, delta_position, delta_views
+                    steps, step_index + 1, extended, interpretation,
+                    delta_position, view,
                 )
 
     def _run_enumerate(
         self,
+        steps: Tuple[PlanStep, ...],
         step: EnumerateComparison,
         step_index: int,
         substitution: Substitution,
         interpretation: Interpretation,
         delta_position: int,
-        delta_views: Optional[Mapping[str, ScanSource]],
+        view: Optional[ScanSource],
     ) -> Iterator[Substitution]:
         domain = interpretation.domain
         sequence_names = [
@@ -710,5 +796,6 @@ class PlanExecutor:
                     final = final.bind_index(name, value)
                 if final.evaluate_comparison(step.comparison):
                     yield from self._run(
-                        step_index + 1, final, interpretation, delta_position, delta_views
+                        steps, step_index + 1, final, interpretation,
+                        delta_position, view,
                     )

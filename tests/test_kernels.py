@@ -267,27 +267,30 @@ class TestDeltaWindows:
         assert list(executor.derive_delta(interpretation, 5, view)) == []
 
     def test_mid_window_delta_restriction(self):
-        # Restrict the *first* scan to the window [2, 4): only chains that
-        # start from the last two edges may fire; the second scan still
-        # joins against the full store.
+        # Restrict one scan to the window [2, 4): only chains through the
+        # last two edges at that position may fire; the other scan still
+        # joins against the full store.  Position 1 runs the second atom's
+        # delta-first order: scan the window, then probe e(X, Y) on column 1.
         plan = plan_of("p(X, Z) :- e(X, Y), e(Y, Z).")
         interpretation = interpretation_of(
             e=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
         )
         relation = interpretation.relation("e")
         window = RelationDelta(relation, 2, 4)
-        batch = PlanExecutor(plan, use_kernels=True)
-        tuple_ = PlanExecutor(plan, use_kernels=False)
-        expected = {
-            (predicate, tuple(value.text for value in values))
-            for predicate, values in tuple_.derive_delta(interpretation, 0, window)
+        cases = {
+            0: {("p", ("c", "a")), ("p", ("d", "b"))},
+            1: {("p", ("b", "d")), ("p", ("c", "a"))},
         }
-        assert expected == {("p", ("c", "a")), ("p", ("d", "b"))}
-        got = {
-            (predicate, tuple(value.text for value in values))
-            for predicate, values in batch.derive_delta(interpretation, 0, window)
-        }
-        assert got == expected
+        for position, expected in cases.items():
+            for use_kernels in (True, False):
+                executor = PlanExecutor(plan, use_kernels=use_kernels)
+                got = {
+                    (predicate, tuple(value.text for value in values))
+                    for predicate, values in executor.derive_delta(
+                        interpretation, position, window
+                    )
+                }
+                assert got == expected, (position, use_kernels)
 
     def test_mid_window_probe_uses_window_local_index(self):
         # Probing a mid-store window of an unindexed column set must not

@@ -1,6 +1,7 @@
 """Tests for the compiled-plan layer: clause plans, scheduling, execution."""
 
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.engine.fixpoint import (
     NAIVE,
     compute_least_fixpoint,
 )
+from repro.engine.kernels import batch_classification
 from repro.engine.plan import AtomScan, BindEquality, CompareFilter, EnumerateComparison
 from repro.engine.planner import PlanExecutor, compile_clause, compile_program
 from repro.language.parser import parse_clause, parse_program
@@ -75,6 +77,56 @@ class TestClauseCompilation:
         assert "scan q(X)" in report
         assert "index scan on columns [0]" in report
         assert "emit p(X, Y)" in report
+
+
+class TestDeltaFirstOrders:
+    """Each body atom of a delta-safe plan gets an order that scans it first."""
+
+    REACH = "reach(X, Z) :- reach(X, Y), link(Y, Z)."
+    # The reverse complement by structural recursion (repro.genome.programs).
+    RC = "rc(X[1:N+1], C ++ Y) :- dnaseq(X), rc(X[1:N], Y), basecomp(X[N+1], C)."
+
+    def test_delta_atom_is_scanned_first_and_the_rest_probed(self):
+        plan = compile_clause(parse_clause(self.REACH))
+        first, second = plan.delta_order(1)
+        assert (first.atom.predicate, first.atom_position) == ("link", 1)
+        assert first.bound_columns == ()
+        # Y comes from the delta row: reach is probed on column 1.
+        assert (second.atom.predicate, second.atom_position) == ("reach", 0)
+        assert second.bound_columns == (1,)
+        # The base order already starts with reach, so position 0 shares it.
+        assert plan.delta_order(0) == plan.steps
+        assert plan.steps[0].atom.predicate == "reach"
+
+    def test_pinning_an_unbound_indexed_base_keeps_the_base_order(self):
+        # Pinning rc(X[1:N], Y) or basecomp(X[N+1], C) first would leave X
+        # unbound under an indexed term, so matching would enumerate the
+        # domain; the base order binds X through dnaseq(X) first.
+        plan = compile_clause(parse_clause(self.RC))
+        assert plan.delta_safe and not plan.domain_sensitive
+        assert plan.steps[0].atom.predicate == "dnaseq"
+        assert plan.delta_order(1) == plan.steps
+        assert plan.delta_order(2) == plan.steps
+
+    def test_plans_without_delta_firings_have_no_variants(self):
+        # Not delta-safe (N occurs only in the head): it always fires in full.
+        assert compile_clause(parse_clause("p(X[1:N]) :- q(X), r(X).")).delta_steps == ()
+        assert compile_clause(parse_clause("p(X) :- q(X).")).delta_steps == ()
+
+    def test_variants_of_a_batchable_plan_stay_batchable(self):
+        plan = compile_clause(parse_clause('t(X, Z) :- e(X, Y), t(Y, Z), Z != "a".'))
+        for position in range(plan.atom_count):
+            variant = replace(plan, steps=plan.delta_order(position))
+            assert batch_classification(variant) == (True, None)
+        assert plan.delta_order(1)[0].atom.predicate == "t"
+
+    def test_explain_lists_only_the_orders_that_differ(self):
+        report = compile_clause(parse_clause(self.REACH)).explain()
+        assert "delta-first order for body atom 2, link(Y, Z):" in report
+        assert "1. scan link(Y, Z) (delta window)" in report
+        assert "2. scan reach(X, Y) (index scan on columns [1])" in report
+        assert "body atom 1" not in report
+        assert "delta-first" not in compile_clause(parse_clause(self.RC)).explain()
 
 
 class TestProgramCompilation:

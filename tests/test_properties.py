@@ -368,6 +368,79 @@ def test_batch_kernels_match_tuple_path_under_demand(templates, seed, count, dat
 
 
 # ----------------------------------------------------------------------
+# Delta-first orders: a firing restricted to one atom's delta scans that
+# atom first.  Session increments of ``e`` always fire the reordered
+# ``e``-delta position of the core recursion; the other templates add
+# more multi-atom joins, on the batch kernels and (non-bare heads) on the
+# tuple path.
+# ----------------------------------------------------------------------
+_DELTA_CORE = "t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).\n"
+_DELTA_TEMPLATES = (
+    "t(X, Z) :- e(X, Y), t(Y, Z).",
+    "s(X) :- t(X, Y), r(Y).",
+    "s(X) :- e(X, Y), s(Y).",
+    'c(Y) :- e("a", Y), r(Y).',
+    "d(X, Z) :- r(X), e(X, Y), e(Y, Z), r(Z).",
+    'f(X, Y) :- t(X, Y), t(Y, X), X != Y.',
+    "u(X[2:end]) :- t(X, Y), r(Y).",
+    "w(X ++ Y) :- e(X, Y), s(Y).",
+)
+_DELTA_NODES = st.sampled_from(["a", "b", "c", "ab", "ba"])
+
+
+@SLOW
+@given(
+    st.lists(st.sampled_from(_DELTA_TEMPLATES), max_size=4, unique=True),
+    st.lists(
+        st.tuples(_DELTA_NODES, _DELTA_NODES), min_size=2, max_size=8, unique=True
+    ),
+    st.lists(_DELTA_NODES, max_size=3, unique=True),
+    st.data(),
+)
+def test_delta_first_orders_match_naive_under_session_increments(
+    templates, edges, nodes, data
+):
+    """Kernels on, kernels off and a from-scratch naive evaluation agree
+    when increments fire the delta-first orders."""
+    from unittest import mock
+
+    from repro.engine.planner import PlanExecutor
+    from repro.engine.session import DatalogSession
+
+    program = parse_program(_DELTA_CORE + "".join(templates))
+    split = data.draw(st.integers(min_value=1, max_value=len(edges) - 1), label="split")
+    increments = [{"e": [edge]} for edge in edges[split:]]
+    increments += [{"r": [node]} for node in nodes]
+    increments = data.draw(st.permutations(increments), label="increments")
+
+    reordered = []
+    derive_delta = PlanExecutor.derive_delta
+
+    def recording(self, interpretation, atom_position, view):
+        if len(view) and self.plan.delta_order(atom_position) != self.plan.steps:
+            reordered.append((self.plan.clause, atom_position))
+        return derive_delta(self, interpretation, atom_position, view)
+
+    models = []
+    with mock.patch.object(PlanExecutor, "derive_delta", recording):
+        for use_kernels in (True, False):
+            session = DatalogSession(
+                program, {"e": edges[:split]},
+                limits=_EQUIVALENCE_LIMITS, use_kernels=use_kernels,
+            )
+            for increment in increments:
+                session.add_facts(increment)
+            models.append(session.interpretation)
+    database = SequenceDatabase.from_dict({"e": edges, "r": nodes})
+    naive = compute_least_fixpoint(
+        program, database, limits=_EQUIVALENCE_LIMITS, strategy=NAIVE
+    )
+    assert models[0] == models[1] == naive.interpretation
+    # Every new e edge fires the core recursion's e-delta position.
+    assert reordered
+
+
+# ----------------------------------------------------------------------
 # Demand-driven evaluation agrees with full materialisation
 # ----------------------------------------------------------------------
 @SLOW

@@ -12,21 +12,22 @@
 #      no program may raise an error-severity diagnostic beyond the
 #      allowlisted paper examples;
 #   4. tier-1 pytest;
-#   5. benchmark smokes: every benchmark registered in
+#   5. source doctests: the examples in the docstrings under src/repro;
+#   6. benchmark smokes: every benchmark registered in
 #      scripts/bench_compare.py's POLICIES runs its --smoke command, and
 #      its bench_<name>.validate_report checks the JSON shape and the
 #      per-case identity claims;
-#   6. end-to-end benchmark oracles (perfbench/selftest.py): every oracle
+#   7. end-to-end benchmark oracles (perfbench/selftest.py): every oracle
 #      of the benchmark accepts the true answer and rejects each
 #      corruption of it;
-#   7. end-to-end TCP smoke: bind a live server on a free port, drive it
+#   8. end-to-end TCP smoke: bind a live server on a free port, drive it
 #      with a real DatalogClient and a raw socket, validate the versioned
 #      JSON envelopes (schema v1, typed results, structured errors);
-#   8. end-to-end replication smoke: a leader and a follower as two real
+#   9. end-to-end replication smoke: a leader and a follower as two real
 #      processes wired through the --json listening envelopes, a write on
 #      the leader read back from the follower, and the not_leader
 #      redirect validated over the wire;
-#   9. end-to-end live-watch smoke: an asyncio server watched by the
+#  10. end-to-end live-watch smoke: an asyncio server watched by the
 #      typed client and by a raw socket, one published generation, the
 #      watching/subscription_delta envelopes validated on the wire.
 #
@@ -62,6 +63,9 @@ python scripts/lint_corpus.py
 
 echo "== tier-1 tests =="
 python -m pytest -x -q "$@"
+
+echo "== source doctests =="
+python -m pytest -q --doctest-modules src/repro
 
 echo "== benchmark smokes (scripts/bench_compare.py POLICIES) =="
 python - <<'EOF'

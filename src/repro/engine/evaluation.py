@@ -43,7 +43,7 @@ from repro.language.terms import (
     SequenceTerm,
     SequenceVariable,
 )
-from repro.sequences import ExtendedDomain, Sequence
+from repro.sequences import DomainView, Sequence
 
 
 def _term_is_evaluable(term: SequenceTerm, substitution: Substitution) -> bool:
@@ -71,7 +71,7 @@ def match_args(
     row: Tuple[Sequence, ...],
     position: int,
     substitution: Substitution,
-    domain: ExtendedDomain,
+    domain: DomainView,
 ) -> Iterator[Substitution]:
     """Yield extensions of ``substitution`` matching each arg to each value."""
     if position == len(args):
@@ -85,7 +85,7 @@ def match_term(
     term: SequenceTerm,
     value: Sequence,
     substitution: Substitution,
-    domain: ExtendedDomain,
+    domain: DomainView,
 ) -> Iterator[Substitution]:
     """Yield extensions of ``substitution`` under which ``term`` equals ``value``."""
     if isinstance(term, ConstantTerm):
@@ -112,7 +112,7 @@ def match_indexed(
     term: IndexedTerm,
     value: Sequence,
     substitution: Substitution,
-    domain: ExtendedDomain,
+    domain: DomainView,
 ) -> Iterator[Substitution]:
     # Candidate values for the base of the indexed term.
     base = term.base
@@ -142,7 +142,7 @@ def match_indexes(
     base_value: Sequence,
     value: Sequence,
     substitution: Substitution,
-    domain: ExtendedDomain,
+    domain: DomainView,
 ) -> Iterator[Substitution]:
     unbound = sorted(
         name
@@ -181,7 +181,7 @@ def emit_heads(
     head_sequence_vars: Iterable[str],
     head_index_vars: Iterable[str],
     substitution: Substitution,
-    domain: ExtendedDomain,
+    domain: DomainView,
     transducers: Optional[TransducerRegistry],
 ) -> Iterator[Fact]:
     """Enumerate unbound head variables over the domain and evaluate the head.
@@ -431,7 +431,7 @@ class ClauseEvaluator:
     # Head emission
     # ------------------------------------------------------------------
     def _emit_heads(
-        self, substitution: Substitution, domain: ExtendedDomain
+        self, substitution: Substitution, domain: DomainView
     ) -> Iterator[Fact]:
         """Enumerate unbound clause variables over the domain and evaluate the head."""
         yield from emit_heads(

@@ -6,11 +6,14 @@
 * **Snapshot-isolated reads.**  Every query pins a :class:`ModelSnapshot`
   — an immutable view of the resident model built from zero-copy
   :class:`~repro.database.relation.RelationDelta` windows ``[0, n)`` over
-  the append-only relation stores, plus a copy of the extended domain
-  taken at publication time.  Because relations only ever append, a pinned
-  window stays valid (and unchanged) while maintenance inserts rows behind
-  it: two queries against the same snapshot always agree, no matter how
-  much maintenance ran in between.
+  the append-only relation stores, plus a watermark of the extended domain
+  (:meth:`~repro.sequences.domain.ExtendedDomain.view`: its length and
+  ``lmax`` at publication time).  Because relations and the domain only
+  ever append, a pinned window stays valid (and unchanged) while
+  maintenance inserts rows and domain sequences behind it: two queries
+  against the same snapshot always agree, no matter how much maintenance
+  ran in between.  Publishing copies nothing, so it costs O(number of
+  predicates), not O(model).
 * **Serialized maintenance with read admission.**  :meth:`add_facts` runs
   under a writer lock, mutating the session's resident model in place;
   concurrent queries keep reading the last *published* snapshot and never
@@ -51,7 +54,7 @@ from repro.engine.session import DatalogSession, FactsLike, MaintenanceReport
 from repro.errors import StorageError, UnknownPredicateError, ValidationError
 from repro.language.atoms import Atom
 from repro.language.clauses import Program
-from repro.sequences import ExtendedDomain
+from repro.sequences import DomainView
 
 
 class ModelSnapshot:
@@ -59,7 +62,9 @@ class ModelSnapshot:
 
     Exposes the read surface :class:`~repro.engine.query.PreparedQuery`
     executes against (``relation()`` and ``domain``), backed by zero-copy
-    append-only windows — pinning a snapshot copies no rows.
+    append-only windows — pinning a snapshot copies no rows and no domain
+    sequences: ``domain`` is a :class:`~repro.sequences.domain.DomainView`
+    over the live domain's storage, cut at its publication watermark.
     """
 
     __slots__ = ("generation", "_views", "_domain", "_fact_count")
@@ -68,7 +73,7 @@ class ModelSnapshot:
         self,
         generation: int,
         views: Dict[str, RelationDelta],
-        domain: ExtendedDomain,
+        domain: DomainView,
         fact_count: int,
     ):
         self.generation = generation
@@ -88,7 +93,7 @@ class ModelSnapshot:
             relation = interpretation.relation(predicate)
             views[predicate] = RelationDelta(relation, 0, len(relation))
         return cls(
-            generation, views, interpretation.domain.copy(),
+            generation, views, interpretation.domain.view(),
             interpretation.fact_count(),
         )
 
@@ -96,7 +101,7 @@ class ModelSnapshot:
         return self._views.get(predicate)
 
     @property
-    def domain(self) -> ExtendedDomain:
+    def domain(self) -> DomainView:
         return self._domain
 
     def predicates(self) -> Tuple[str, ...]:

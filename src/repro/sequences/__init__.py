@@ -9,17 +9,20 @@ This package implements Section 2.1 and Definitions 2-3 of the paper:
   subsequences of a sequence.
 * :class:`~repro.sequences.domain.ExtendedDomain` -- the *extension* of a set
   of sequences: the sequences themselves, all their contiguous subsequences,
-  and the integers ``0 .. lmax + 1``.
+  and the integers ``0 .. lmax + 1``; its
+  :meth:`~repro.sequences.domain.ExtendedDomain.view` pins a read-only
+  :class:`~repro.sequences.domain.DomainView` of it in O(1).
 """
 
 from repro.sequences.alphabet import Alphabet, DNA_ALPHABET, RNA_ALPHABET, PROTEIN_ALPHABET, BINARY_ALPHABET
 from repro.sequences.sequence import EMPTY, Sequence, as_sequence, subsequences
-from repro.sequences.domain import ExtendedDomain, extension_of
+from repro.sequences.domain import DomainView, ExtendedDomain, extension_of
 
 __all__ = [
     "Alphabet",
     "BINARY_ALPHABET",
     "DNA_ALPHABET",
+    "DomainView",
     "EMPTY",
     "ExtendedDomain",
     "PROTEIN_ALPHABET",

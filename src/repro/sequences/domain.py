@@ -14,16 +14,94 @@ adds all of its subsequences and, if needed, enlarges the integer range.
 This incremental behaviour is what makes the fixpoint computation practical:
 each application of the ``T`` operator only has to extend the domain with
 the sequences it created.
+
+The domain only grows and is closed under subsequences (Lemma 1), so it is
+stored in insertion order: an append-only list of sequences plus a map from
+each sequence's text to its position.  Every earlier state of the domain is
+a prefix of that order, so :meth:`ExtendedDomain.view` pins one in O(1) as
+a *watermark* -- the list length and ``lmax`` at that moment.  The
+resulting :class:`DomainView` answers exactly as of its watermark while the
+domain keeps growing behind it; the serving layer publishes its snapshots
+this way instead of copying the domain.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Set
+from itertools import islice
+from typing import AbstractSet, Dict, Iterable, Iterator, List
 
 from repro.sequences.sequence import Sequence, as_sequence
 
 
-class ExtendedDomain:
+class DomainView(AbstractSet[Sequence]):
+    """An extended domain as it stood at one watermark of its insertion order.
+
+    A read-only set of the domain's sequences that also answers membership
+    of the domain's integers.  It shares the storage of the
+    :class:`ExtendedDomain` it was taken from, whose later additions it
+    never sees: membership is ``position < watermark`` and iteration stops
+    at the watermark.  Safe to read from other threads while the domain
+    grows.
+    """
+
+    __slots__ = ("_order", "_position", "_length", "_max_length")
+
+    def __init__(
+        self,
+        order: List[Sequence],
+        position: Dict[str, int],
+        length: int,
+        max_length: int,
+    ):
+        self._order = order
+        self._position = position
+        self._length = length
+        self._max_length = max_length
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[Sequence]) -> frozenset:
+        # The set operators (``|``, ``&``, ``-``, ``^``) build their result
+        # through this hook: a plain set, since a difference or an
+        # intersection need not be closed under subsequences.
+        return frozenset(iterable)
+
+    @property
+    def max_length(self) -> int:
+        """Length ``lmax`` of the longest sequence in the domain."""
+        return self._max_length
+
+    def sequences(self) -> DomainView:
+        """The sequence part of the domain: this read-only set, not a copy."""
+        return self
+
+    def integers(self) -> range:
+        """The integer part of the extension: ``0 .. lmax + 1`` inclusive."""
+        return range(0, self._max_length + 2)
+
+    def __contains__(self, value: object) -> bool:
+        if isinstance(value, int):
+            return 0 <= value <= self._max_length + 1
+        text = as_sequence(value).text  # type: ignore[arg-type]
+        return self._position.get(text, self._length) < self._length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[Sequence]:
+        return islice(self._order, self._length)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self._length} sequences, "
+            f"lmax={self._max_length})"
+        )
+
+    def sorted_sequences(self) -> List[Sequence]:
+        """The sequences ordered by (length, text) — useful for stable output."""
+        return sorted(self, key=lambda s: (len(s), s.text))
+
+
+class ExtendedDomain(DomainView):
     """The extension ``dom_ext`` of a set of sequences.
 
     The domain is mutable (sequences can be added) but never shrinks, which
@@ -39,18 +117,22 @@ class ExtendedDomain:
     3
     >>> sorted(dom.integers())[-1]
     4
+    >>> pinned = dom.view()
+    >>> dom.add("xabcd")
+    True
+    >>> Sequence("xa") in pinned, len(pinned), pinned.max_length
+    (False, 7, 3)
     """
 
-    __slots__ = ("_sequences", "_max_length")
+    __slots__ = ()
 
     def __init__(self, sequences: Iterable = ()):  # type: ignore[assignment]
-        self._sequences: Set[Sequence] = set()
-        self._max_length = 0
-        self.add_all(sequences)
         # The empty sequence is a subsequence of every sequence; for the
         # empty domain the integer range is {0, 1} and epsilon is present so
         # that rules such as ``p(=, =) <- true`` can fire on any database.
-        self._sequences.add(Sequence(""))
+        empty = Sequence("")
+        super().__init__([empty], {empty.text: 0}, 1, 0)
+        self.add_all(sequences)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -60,23 +142,30 @@ class ExtendedDomain:
 
         Returns ``True`` if the domain grew (the sequence was new).
         """
-        sequence = as_sequence(value)
-        if sequence in self._sequences:
+        text = as_sequence(value).text
+        position = self._position
+        if text in position:
             return False
-        text = sequence.text
-        self._sequences.add(sequence)
-        if len(text) > self._max_length:
-            self._max_length = len(text)
-        # Add every distinct contiguous subsequence.  Using raw strings here
-        # keeps the inner loop cheap; Sequence construction is deferred to
-        # the final insert.
-        for start in range(len(text)):
-            for stop in range(start + 1, len(text) + 1):
-                fragment = text[start:stop]
-                candidate = Sequence(fragment)
-                if candidate not in self._sequences:
-                    self._sequences.add(candidate)
-        self._sequences.add(Sequence(""))
+        order = self._order
+        end = len(text)
+        if end > self._max_length:
+            self._max_length = end
+        # The domain is closed under subsequences, so a fragment already
+        # present brings all of its prefixes along: each start position
+        # adds its fragments longest first and stops at the first present
+        # one.  A whole suffix already present brings every fragment that
+        # starts later along too.  Probing raw strings keeps Sequence
+        # interning for the fragments actually added.
+        for start in range(end):
+            stop = end
+            while stop > start and (fragment := text[start:stop]) not in position:
+                member = Sequence(fragment)
+                position[member.text] = len(order)
+                order.append(member)
+                stop -= 1
+            if stop == end:
+                break
+        self._length = len(order)
         return True
 
     def add_all(self, values: Iterable) -> bool:
@@ -87,54 +176,18 @@ class ExtendedDomain:
                 grew = True
         return grew
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def max_length(self) -> int:
-        """Length ``lmax`` of the longest sequence in the domain."""
-        return self._max_length
-
-    def sequences(self) -> Set[Sequence]:
-        """The set of sequences in the domain (a live copy is NOT returned)."""
-        return self._sequences
-
-    def integers(self) -> range:
-        """The integer part of the extension: ``0 .. lmax + 1`` inclusive."""
-        return range(0, self._max_length + 2)
-
-    def __contains__(self, value) -> bool:
-        if isinstance(value, int):
-            return 0 <= value <= self._max_length + 1
-        return as_sequence(value) in self._sequences
-
-    def __len__(self) -> int:
-        return len(self._sequences)
-
-    def __iter__(self) -> Iterator[Sequence]:
-        return iter(self._sequences)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtendedDomain):
-            return NotImplemented
-        return self._sequences == other._sequences
-
-    def __repr__(self) -> str:
-        return (
-            f"ExtendedDomain({len(self._sequences)} sequences, "
-            f"lmax={self._max_length})"
-        )
+    def view(self) -> DomainView:
+        """Pin the domain as it stands now, in O(1) and without a copy."""
+        return DomainView(self._order, self._position, self._length, self._max_length)
 
     def copy(self) -> ExtendedDomain:
         """An independent copy of the domain."""
         clone = ExtendedDomain()
-        clone._sequences = set(self._sequences)
+        clone._order = self._order[:]
+        clone._position = self._position.copy()
+        clone._length = self._length
         clone._max_length = self._max_length
         return clone
-
-    def sorted_sequences(self) -> List[Sequence]:
-        """The sequences ordered by (length, text) — useful for stable output."""
-        return sorted(self._sequences, key=lambda s: (len(s), s.text))
 
 
 def extension_of(sequences: Iterable) -> ExtendedDomain:

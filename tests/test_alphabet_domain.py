@@ -96,6 +96,14 @@ class TestExtendedDomain:
         )
         assert set(union.sequences()) == separate
 
+    def test_set_operators_return_plain_sets(self):
+        """A difference of domains need not be subsequence-closed, so the
+        operators build a frozenset, on the live domain and on a view."""
+        domain = ExtendedDomain(["ab"])
+        rest = domain - {Sequence("a")}
+        assert rest == frozenset(Sequence(text) for text in ("", "b", "ab"))
+        assert domain.view() | {Sequence("x")} == set(domain) | {Sequence("x")}
+
     def test_copy_is_independent(self):
         domain = ExtendedDomain(["ab"])
         clone = domain.copy()
@@ -108,6 +116,18 @@ class TestExtendedDomain:
 
     def test_extension_of_helper(self):
         assert extension_of(["ab"]) == ExtendedDomain(["ab"])
+
+    def test_add_stops_at_the_first_fragment_already_present(self):
+        """The domain is closed under subsequences, so adding ``xabcdefgh``
+        beside ``abcdefgh`` looks up the nine fragments that start at ``x``
+        and then meets the present suffix ``abcdefgh``: it must not intern
+        the 36 fragments that suffix already brought along."""
+        domain = ExtendedDomain(["abcdefgh"])
+        before = Sequence.intern_stats()["fast_hits"]
+        assert domain.add("xabcdefgh") is True
+        assert Sequence.intern_stats()["fast_hits"] - before <= 10
+        expected = {"xabcdefgh"[i:j] for i in range(9) for j in range(i, 10)}
+        assert {sequence.text for sequence in domain} == expected
 
     def test_size_counts_sequences_not_integers(self):
         assert len(ExtendedDomain(["abc"])) == 7

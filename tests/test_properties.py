@@ -63,6 +63,44 @@ def test_domain_monotonicity_lemma_1(first, second):
     assert small.max_length <= large.max_length
 
 
+def _closure(words):
+    """Brute-force extension: every contiguous subsequence of every word."""
+    members = {Sequence("")}
+    for word in words:
+        members.update(subsequences(word))
+    return members
+
+
+def _assert_domain_is_closure(domain, words):
+    oracle = _closure(words)
+    members = list(domain)
+    assert len(members) == len(set(members)) == len(domain) == len(oracle)
+    assert set(members) == oracle
+    assert all(sequence in domain for sequence in oracle)
+    lmax = max(map(len, oracle))
+    assert domain.max_length == lmax
+    assert domain.integers() == range(lmax + 2)
+    assert lmax + 1 in domain and lmax + 2 not in domain
+
+
+@FAST
+@given(st.lists(st.lists(st.text(alphabet="abc", max_size=9), max_size=4), max_size=6))
+def test_domain_views_keep_the_closure_of_their_watermark(batches):
+    """Each view of a growing domain still equals the closure of what had
+    been added when it was taken; the live domain is the closure of it all."""
+    domain = ExtendedDomain()
+    added, views = [], []
+    for batch in batches:
+        domain.add_all(batch)
+        added.extend(batch)
+        views.append((domain.view(), list(added)))
+    for view, words in views:
+        _assert_domain_is_closure(view, words)
+        later = {Sequence(word) for word in added} - _closure(words)
+        assert not any(sequence in view for sequence in later)
+    _assert_domain_is_closure(domain, added)
+
+
 @FAST
 @given(st.text(alphabet="abc", max_size=8), st.integers(0, 10), st.integers(0, 10))
 def test_subsequence_definedness_matches_the_paper(word, lo, hi):

@@ -8,6 +8,9 @@ The properties under test:
   never a half-maintained state;
 * serialized maintenance — concurrent ``add_facts`` calls interleave safely
   and each publishes a consistent fixpoint;
+* domain isolation — a pinned snapshot's extended domain is a watermark of
+  the live one: it keeps its members, size and ``lmax`` while maintenance
+  appends sequences behind it, also for a reader in another thread;
 * poisoning visibility — after a failed maintenance run, every thread sees
   the session as poisoned;
 * the batching machinery — result caching, in-flight coalescing and batch
@@ -16,6 +19,7 @@ The properties under test:
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -29,11 +33,15 @@ from repro.errors import (
     UnknownPredicateError,
     ValidationError,
 )
+from repro.sequences import Sequence
 
 CHAIN = """
 derived(X) :- base(X).
 pair(X, Y) :- derived(X), derived(Y).
 """
+
+
+COPY = "copy(X) :- base(X)."
 
 
 def _chain_server(values=("a", "b"), **kwargs):
@@ -313,3 +321,65 @@ class TestConcurrency:
             assert (
                 stats["result_cache"]["hits"] + stats["coalesced_queries"] == 7
             )
+
+
+class TestPinnedDomain:
+    def test_domain_sensitive_pattern_keeps_its_witnesses(self):
+        """``copy(X[1:2])`` ranges ``X`` over the extended domain, so a
+        write that grows the domain gives the latest snapshot a second
+        witness (``aby``) but must not reach a snapshot pinned before it."""
+        with DatalogServer(COPY, {"base": ["ab"]}) as server:
+            old = server.snapshot
+            size, lmax = len(old.domain), old.domain.max_length
+            server.add_facts({"base": ["xaby"]})
+            assert server.query("copy(X[1:2])", snapshot=old).values("X") == ["ab"]
+            assert server.query("copy(X[1:2])").values("X") == ["ab", "aby"]
+            assert Sequence("xaby") not in old.domain
+            assert Sequence("xaby") in server.snapshot.domain
+            assert (len(old.domain), old.domain.max_length) == (size, lmax)
+            assert len(server.snapshot.domain) > size
+
+    def test_reader_thread_sees_exactly_the_pinned_members(self):
+        rng = random.Random(18)
+        strands = [
+            "".join(rng.choice("acgt") for _ in range(16)) for _ in range(40)
+        ]
+        with DatalogServer(COPY, {"base": strands[:5]}) as server:
+            pinned = server.snapshot.domain
+            members = set(pinned)
+            size, lmax = len(pinned), pinned.max_length
+            later = [Sequence(strand) for strand in strands[5:]]
+            started, stop = threading.Event(), threading.Event()
+            errors, passes = [], []
+
+            def reader():
+                try:
+                    while True:
+                        started.set()
+                        seen = list(pinned)
+                        if len(seen) != size or set(seen) != members:
+                            errors.append(f"pass saw {len(seen)} members")
+                        if not all(sequence in pinned for sequence in members):
+                            errors.append("a pinned member went missing")
+                        if any(sequence in pinned for sequence in later):
+                            errors.append("a later write leaked into the pin")
+                        if (len(pinned), pinned.max_length) != (size, lmax):
+                            errors.append("the pinned size or lmax moved")
+                        passes.append(len(seen))
+                        if stop.is_set():
+                            return
+                except Exception as error:  # pragma: no cover
+                    errors.append(repr(error))
+
+            thread = threading.Thread(target=reader)
+            thread.start()
+            try:
+                started.wait(timeout=30)
+                for strand in strands[5:]:
+                    server.add_facts({"base": [strand]})
+            finally:
+                stop.set()
+                thread.join(timeout=60)
+            assert not errors, errors[:3]
+            assert passes
+            assert len(server.snapshot.domain) > 5 * size
